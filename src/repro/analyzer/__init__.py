@@ -6,8 +6,6 @@ categories (Table I) plus exceptions and objects.  This package is the
 Python translation:
 
 * :mod:`repro.analyzer.findings` — the finding record and severities.
-* :mod:`repro.analyzer.pool` — the hardcoded suggestion pool (Table I
-  translated to Python idioms; DESIGN.md §4 has the mapping).
 * :mod:`repro.analyzer.rules` — one module per rule, AST-based.
 * :mod:`repro.analyzer.engine` — runs all rules over sources, files and
   project trees; the dynamic (watch) mode behind the paper's Fig. 2.
@@ -15,7 +13,6 @@ Python translation:
 
 from repro.analyzer.engine import Analyzer, DynamicAnalyzer, analyze_source
 from repro.analyzer.findings import Finding, Severity
-from repro.analyzer.pool import SuggestionPool
 from repro.analyzer.report import FindingsSummary
 from repro.analyzer.suppress import apply_suppressions, parse_suppressions
 
@@ -25,7 +22,6 @@ __all__ = [
     "Finding",
     "FindingsSummary",
     "Severity",
-    "SuggestionPool",
     "analyze_source",
     "apply_suppressions",
     "parse_suppressions",

@@ -40,7 +40,7 @@ class Analyzer:
         the registry *afterwards* are only picked up by a fresh
         ``Analyzer``.
     extended:
-        Also run the extension rules (paper future work: R14, R15).
+        Also run the extension rules (paper future work: R14 onward).
     honor_suppressions:
         Drop findings on lines carrying ``# pepo: ignore[...]`` comments
         (default True; disable to audit suppressed code).

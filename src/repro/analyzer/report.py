@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analyzer.findings import Finding, Severity
-from repro.analyzer.pool import SuggestionPool
 from repro.views.tables import render_table
 
 
@@ -39,7 +38,6 @@ class FindingsSummary:
             filename: list(findings)
             for filename, findings in (suppressed_by_file or {}).items()
         }
-        self._pool = SuggestionPool()
 
     @classmethod
     def from_findings(cls, findings: list[Finding]) -> "FindingsSummary":
@@ -71,13 +69,15 @@ class FindingsSummary:
         for findings in self._by_file.values():
             for finding in findings:
                 buckets.setdefault(finding.rule_id, []).append(finding)
+        from repro.rules import REGISTRY
+
         counts = [
             RuleCount(
                 rule_id=rule_id,
-                component=self._pool.entry(rule_id).python_component,
+                component=REGISTRY.get(rule_id).python_component,
                 count=len(findings),
                 max_severity=max(f.severity for f in findings),
-                paper_overhead_percent=self._pool.overhead_percent(rule_id),
+                paper_overhead_percent=REGISTRY.get(rule_id).overhead_percent,
             )
             for rule_id, findings in buckets.items()
         ]

@@ -15,7 +15,6 @@ import builtins
 from typing import TYPE_CHECKING, Iterator
 
 from repro.analyzer.findings import Finding, Severity, compute_confidence
-from repro.analyzer.pool import SuggestionPool
 
 if TYPE_CHECKING:
     from repro.semantics import Binding, SemanticModel
@@ -91,7 +90,6 @@ class AnalysisContext:
         self.filename = filename
         self.source_lines = source.splitlines()
         self.tree = tree
-        self.pool = SuggestionPool()
         self.module_names = collect_module_names(tree)
         self.loop_stack: list[ast.For | ast.While] = []
         self.function_stack: list[FunctionInfo] = []
@@ -201,7 +199,7 @@ class AnalysisContext:
         severity: Severity = Severity.MEDIUM,
         pure_context: bool = False,
     ) -> Finding:
-        """Build a finding anchored to ``node`` with pool metadata.
+        """Build a finding anchored to ``node`` with its rule's spec metadata.
 
         Confidence folds the severity together with the node's
         *effective* hotness — static loop-nesting depth plus the
@@ -214,8 +212,10 @@ class AnalysisContext:
         snippet = ""
         if 1 <= line <= len(self.source_lines):
             snippet = self.source_lines[line - 1].strip()
-        entry = self.pool.entry(rule_id)
-        overhead = self.pool.overhead_percent(rule_id)
+        from repro.rules import REGISTRY
+
+        spec = REGISTRY.get(rule_id)
+        overhead = spec.overhead_percent
         hot_depth = self.semantics.hot_depth(node)
         caller_hotness = 0
         func = self.semantics.enclosing_function(node)
@@ -226,9 +226,9 @@ class AnalysisContext:
             line=line,
             col=col,
             rule_id=rule_id,
-            component=entry.python_component,
+            component=spec.python_component,
             message=message,
-            suggestion=entry.python_suggestion,
+            suggestion=spec.python_suggestion,
             severity=severity,
             overhead_percent=overhead,
             snippet=snippet,

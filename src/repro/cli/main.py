@@ -31,6 +31,15 @@ def _add_store_option(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _extension_help() -> str:
+    from repro.rules import REGISTRY
+
+    ids = ", ".join(
+        spec.rule_id.split("_", 1)[0] for spec in REGISTRY.extension_specs()
+    )
+    return f"also run the extension rules ({ids})"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pepo",
@@ -55,11 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--once", action="store_true", help=argparse.SUPPRESS
     )  # test hook: single watch iteration
     suggest.add_argument(
-        "--json",
-        action="store_true",
-        help="emit findings as JSON lines (alias for --format json)",
-    )
-    suggest.add_argument(
         "--format",
         choices=["text", "json"],
         default="text",
@@ -69,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     suggest.add_argument(
         "--extended",
         action="store_true",
-        help="also run the extension rules (R14, R15)",
+        help=_extension_help(),
     )
     suggest.add_argument(
         "--summary",
@@ -136,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--extended",
         action="store_true",
-        help="also run the extension rules (R14, R15)",
+        help=_extension_help(),
     )
     _add_sweep_options(check)
 
@@ -457,7 +461,6 @@ def _cmd_suggest(args: argparse.Namespace, out) -> int:
     pepo = PEPO()
     analyzer = Analyzer(extended=args.extended)
     path: Path = args.path
-    fmt = "json" if args.json else args.format
     if args.watch:
         return _watch(pepo, path, args.interval, out, once=args.once)
     if path.is_dir():
@@ -470,7 +473,7 @@ def _cmd_suggest(args: argparse.Namespace, out) -> int:
         )
         _report_sweep(analyzer.last_sweep_stats, analyzer.last_quarantine)
         _report_profile(analyzer.last_profile)
-        if fmt == "json":
+        if args.format == "json":
             from repro.check import iter_json_lines
 
             for line in iter_json_lines(findings_by_file):
@@ -485,7 +488,7 @@ def _cmd_suggest(args: argparse.Namespace, out) -> int:
         total = sum(len(v) for v in findings_by_file.values())
     else:
         findings = analyzer.analyze_file(path)
-        if fmt == "json":
+        if args.format == "json":
             from repro.check import iter_json_lines
 
             for line in iter_json_lines({str(path): findings}):

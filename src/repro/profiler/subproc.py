@@ -135,7 +135,6 @@ class _ChildTrace:
         """
         if self._finalized:
             return
-        self._finalized = True
         blocked = False
         try:
             import signal
@@ -145,6 +144,13 @@ class _ChildTrace:
         except Exception:
             pass
         try:
+            # Claimed only once SIGTERM is blocked.  A rescue handler
+            # firing before the block runs this whole method itself; one
+            # firing after an earlier claim would find the profile
+            # "already spooled" and kill the process before it was.
+            if self._finalized:
+                return
+            self._finalized = True
             self.tracer.stop()
             result = self.tracer.result
             if len(result):
@@ -200,10 +206,18 @@ def maybe_bootstrap() -> "_ChildTrace | None":
             follow_tasks=True,
             estimate_overhead=False,
         )
-        tracer.start()
     except Exception:
         return None
     trace = _ChildTrace(tracer, Path(spool))
+    # Before start(): the rescue's watcher thread must not be born
+    # under the tracer's threading.setprofile hook, or it would be
+    # profiled.  A rescue outliving a failed start finalizes nothing
+    # and dies by SIGTERM, exactly as SIG_DFL would.
+    _rescue_sigterm(trace)
+    try:
+        tracer.start()
+    except Exception:
+        return None
     _BOOTSTRAPPED[pid] = trace
     # multiprocessing workers skip atexit (they leave via os._exit
     # after running only multiprocessing's own finalizers), so register
@@ -245,8 +259,90 @@ def _rescue_sigterm(trace: "_ChildTrace") -> None:
             os.kill(os.getpid(), signal.SIGTERM)
 
         signal.signal(signal.SIGTERM, _finalize_and_die)
+        _watch_sigterm(_finalize_and_die)
     except Exception:
         pass
+
+
+#: ``(read_fd, write_fd)`` of this process's signal wakeup pipe, while
+#: :func:`_watch_sigterm` owns the wakeup fd.
+_WAKEUP_PIPE: tuple[int, int] | None = None
+
+
+def _watch_sigterm(handler: object) -> None:
+    """Re-send a SIGTERM whose Python-level handler never got to run.
+
+    CPython runs a Python-level handler only when the main thread next
+    checks for signals.  A SIGTERM landing after that check but before
+    a blocking C call interrupts nothing — and an idle ``Pool`` worker
+    entering its task-queue lock, which ``Pool.terminate()`` holds for
+    good, is exactly where the signal tends to land.  The handler never
+    runs, the worker sleeps forever and ``Pool.terminate()`` hangs
+    joining it.  The C-level handler still writes the signal number to
+    the wakeup fd, so a daemon thread reading it re-sends SIGTERM to the
+    main thread (whose blocking call then fails with ``EINTR`` and runs
+    the handler) for as long as *handler* is installed, i.e. until the
+    process is gone.  A wakeup fd someone else (an event loop) already
+    owns is left alone, and the watcher stays off.
+    """
+    import signal
+    import threading
+    import time
+
+    global _WAKEUP_PIPE
+    read_fd, write_fd = os.pipe()
+    os.set_blocking(write_fd, False)
+    previous = signal.set_wakeup_fd(write_fd, warn_on_full_buffer=False)
+    if previous != -1:
+        signal.set_wakeup_fd(previous)
+        os.close(read_fd)
+        os.close(write_fd)
+        return
+    _WAKEUP_PIPE = (read_fd, write_fd)
+    main = threading.main_thread().ident
+
+    def watch() -> None:
+        # Keep process-directed SIGTERMs on the main thread.
+        signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+        while True:
+            data = os.read(read_fd, 64)
+            if not data:
+                return
+            if signal.SIGTERM in data:
+                break
+        while signal.getsignal(signal.SIGTERM) is handler:
+            signal.pthread_kill(main, signal.SIGTERM)
+            time.sleep(0.05)
+
+    threading.Thread(target=watch, name="pepo-sigterm-watch", daemon=True).start()
+
+
+def _forget_wakeup_pipe() -> None:
+    """Fork child: drop the wakeup pipe inherited from the parent.
+
+    Its watcher thread did not survive the fork, and a SIGTERM written
+    into the shared pipe would wake the *parent's* watcher and take the
+    parent down instead.
+    """
+    global _WAKEUP_PIPE
+    if _WAKEUP_PIPE is None:
+        return
+    import signal
+
+    read_fd, write_fd = _WAKEUP_PIPE
+    _WAKEUP_PIPE = None
+    try:
+        previous = signal.set_wakeup_fd(-1)
+    except ValueError:
+        return
+    if previous != write_fd:
+        signal.set_wakeup_fd(previous)
+    os.close(read_fd)
+    os.close(write_fd)
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_wakeup_pipe)
 
 
 class SubprocessCapture:

@@ -2,11 +2,13 @@
 
 This module is *the* enumeration of PEPO's shipped rules.  Each
 ``RuleSpec`` here bundles what used to live in four hand-synced places:
-the suggestion-pool text (``repro.analyzer.pool``), the analyzer rule
-list (``repro.analyzer.rules.ALL_RULES``), the transform pipeline
+the suggestion-pool text, the analyzer rule list
+(``repro.analyzer.rules.ALL_RULES``), the transform pipeline
 (``repro.optimizer.transforms.ALL_TRANSFORMS``) and the micro-benchmark
-list (``repro.bench.micro.MICRO_PAIRS``).  Those names still exist, but
-they are now derived *from* this catalog via :data:`repro.rules.REGISTRY`.
+list (``repro.bench.micro.MICRO_PAIRS``).  The three lists still exist,
+but they are now derived *from* this catalog via
+:data:`repro.rules.REGISTRY`, which findings also read their suggestion
+text from.
 
 The Java component/suggestion strings are the paper's Table I rows
 verbatim; the Python strings are DESIGN.md §4's translations.  Overhead

@@ -75,7 +75,7 @@ class RuleRegistry:
         )
 
     def extension_specs(self) -> tuple[RuleSpec, ...]:
-        """Built-in future-work rules (R14, R15)."""
+        """Built-in future-work rules beyond Table I."""
         return tuple(
             s for s in self._specs.values() if s.builtin and s.extension
         )

@@ -8,8 +8,8 @@ The shared engine behind ``Analyzer.analyze_project`` and
   (parallel output is byte-identical to serial);
 * :mod:`repro.sweep.supervisor` — supervised execution: per-file
   timeouts with a watchdog, ``BrokenProcessPool`` recovery, poison-file
-  quarantine, worker recycling, and SIGINT/SIGTERM journaling with
-  byte-identical ``--resume``;
+  quarantine shared by serial and parallel sweeps, and SIGINT/SIGTERM
+  journaling with byte-identical ``--resume``;
 * :mod:`repro.sweep.cache` — the ``.pepo_cache/`` content-hash result
   cache, keyed by (file content, rule-registry fingerprint, options),
   with checksummed entries, auto-evict on corruption, and an advisory

@@ -47,7 +47,8 @@ LOCK_FILE_NAME = ".lock"
 #: 3: entries embed a sha256 payload checksum (corruption detection);
 #:    entries without one are treated as corrupt and evicted on read.
 #: 4: findings are stored as compact positional rows (see
-#:    ``repro.sweep.jobs.encode_finding_compact``) instead of dicts.
+#:    ``repro.sweep.jobs.encode_finding_compact``) instead of dicts;
+#:    the dict codec is gone, since no older entry is reachable.
 CACHE_FORMAT = 4
 
 

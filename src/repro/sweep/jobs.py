@@ -16,8 +16,8 @@ Findings cross the worker boundary (and land in the cache) in a
 *compact* form — one flat positional row per finding instead of a
 13-key dict — because on a cold sweep the parent deserializes every
 finding from every worker, and key strings dominated that payload.
-:func:`decode_finding` still accepts the dict form, so journals or
-payloads produced by the dict codec decode identically.
+Every cache and journal key folds ``CACHE_FORMAT`` into the job
+fingerprint, so no payload in an older wire form can ever be read back.
 """
 
 from __future__ import annotations
@@ -38,31 +38,12 @@ if TYPE_CHECKING:
 # -- finding / change codecs ---------------------------------------------
 
 
-def encode_finding(finding: Finding) -> dict:
-    """JSON-able form of a finding, path omitted (content-addressed)."""
-    return {
-        "line": finding.line,
-        "col": finding.col,
-        "rule_id": finding.rule_id,
-        "component": finding.component,
-        "message": finding.message,
-        "suggestion": finding.suggestion,
-        "severity": finding.severity.name,
-        "overhead_percent": finding.overhead_percent,
-        "snippet": finding.snippet,
-        "confidence": finding.confidence,
-        "hot_depth": finding.hot_depth,
-        "caller_hotness": finding.caller_hotness,
-        "pure_context": finding.pure_context,
-    }
-
-
 def encode_finding_compact(finding: Finding) -> list:
-    """Wire form of a finding: one flat positional row.
+    """Wire form of a finding, path omitted (content-addressed): one
+    flat positional row.
 
-    Field order matches :func:`encode_finding`'s key order and is part
-    of the cache format — reordering or appending fields requires a
-    ``CACHE_FORMAT`` bump.
+    Field order is part of the cache format — reordering or appending
+    fields requires a ``CACHE_FORMAT`` bump.
     """
     return [
         finding.line,
@@ -81,47 +62,23 @@ def encode_finding_compact(finding: Finding) -> list:
     ]
 
 
-def decode_finding(payload: "dict | list", file: str) -> Finding:
-    """Rebuild a finding from either wire form.
-
-    Accepts the compact positional row (what sweeps produce now) and
-    the legacy key/value dict (journals and third-party payloads built
-    with :func:`encode_finding`); both decode to the same object.
-    """
-    if isinstance(payload, list):
-        return Finding(
-            file=file,
-            line=payload[0],
-            col=payload[1],
-            rule_id=payload[2],
-            component=payload[3],
-            message=payload[4],
-            suggestion=payload[5],
-            severity=Severity[payload[6]],
-            overhead_percent=payload[7],
-            snippet=payload[8],
-            confidence=payload[9],
-            hot_depth=payload[10],
-            caller_hotness=payload[11],
-            pure_context=payload[12],
-        )
+def decode_finding(row: list, file: str) -> Finding:
+    """Rebuild a finding from its compact row, stamping ``file``."""
     return Finding(
         file=file,
-        line=payload["line"],
-        col=payload["col"],
-        rule_id=payload["rule_id"],
-        component=payload["component"],
-        message=payload["message"],
-        suggestion=payload["suggestion"],
-        severity=Severity[payload["severity"]],
-        overhead_percent=payload["overhead_percent"],
-        snippet=payload["snippet"],
-        confidence=payload["confidence"],
-        # .get: cache entries written before the flow-sensitive layer
-        # decode to the neutral defaults instead of raising.
-        hot_depth=payload.get("hot_depth", 0),
-        caller_hotness=payload.get("caller_hotness", 0),
-        pure_context=payload.get("pure_context", False),
+        line=row[0],
+        col=row[1],
+        rule_id=row[2],
+        component=row[3],
+        message=row[4],
+        suggestion=row[5],
+        severity=Severity[row[6]],
+        overhead_percent=row[7],
+        snippet=row[8],
+        confidence=row[9],
+        hot_depth=row[10],
+        caller_hotness=row[11],
+        pure_context=row[12],
     )
 
 

@@ -1,29 +1,33 @@
 """Supervised sweep execution: survive hostile files instead of dying.
 
-The engine used to fan files out with a bare ``pool.map``: one file
-that segfaulted its worker, hung forever, or exhausted memory killed
-the entire sweep.  :class:`SweepSupervisor` replaces that with
-futures-based submission under a supervisor loop that treats each
-*file* as the unit of failure:
+:class:`SweepSupervisor` runs a sweep's files to completion and treats
+each *file* as the unit of failure.  Serial and parallel sweeps share
+one per-file executor (:func:`_run_items`, which turns any exception
+into an inline failure marker) and one strike/requeue routine
+(``SweepSupervisor._dispatch_failure``), so both quarantine the same
+files for the same reasons after the same number of strikes:
 
-* **watchdog** — every in-flight file carries a wall-clock deadline;
-  a file that overruns it gets its worker pool killed and recycled,
-  and the file is charged a ``hang`` strike (collateral in-flight
-  files are resubmitted without a strike);
-* **crash recovery** — a ``BrokenProcessPool`` restarts the pool with
-  exponential backoff (:class:`~repro.resilience.policy.ResiliencePolicy`
-  schedule).  When exactly one file was in flight the crash is charged
-  to it; when several were, none is charged and all are retried **in
-  isolation** (one at a time) so the next crash is unambiguous;
 * **poison quarantine** — a file that fails more than
   ``SweepOptions.max_retries`` times (crash, hang, ``MemoryError``,
   ``RecursionError``, or any analyzer exception) is quarantined: the
   sweep completes, the file degrades per the job's policy (empty
   findings / skipped entry), and the quarantine report records the
   path, reason, and strike count;
-* **worker recycling** — ``max_tasks_per_child`` bounds how many files
-  one worker processes before being replaced, bounding memory growth
-  on fleet-scale corpora;
+* **watchdog** — every in-flight chunk carries a wall-clock deadline
+  (the per-file budget times the chunk length).  A parallel overrun
+  kills and recycles the worker pool: a single-file chunk is charged a
+  ``hang`` strike, a multi-file chunk reruns its files one per chunk
+  without strikes so the next overrun names its culprit, and
+  collateral in-flight files are resubmitted unharmed.  Serial sweeps
+  cannot preempt an in-process stall, so they detect the overrun after
+  the fact and discard the late result;
+* **crash recovery** — a ``BrokenProcessPool`` restarts the pool with
+  exponential backoff (:data:`DEFAULT_SWEEP_POLICY`).  When exactly one
+  file was in flight the crash is charged to it; when several were,
+  none is charged and all are retried **in isolation** (one at a time)
+  so the next crash is unambiguous.  Serial sweeps see the
+  :class:`~repro.resilience.faults.InjectedWorkerCrash` stand-in
+  through the executor instead;
 * **graceful interrupt** — SIGINT/SIGTERM (or the deterministic
   ``SweepFaultPlan.interrupt_after_files`` test hook) stops submission,
   kills the pool, flushes every completed payload to an atomic journal
@@ -34,21 +38,7 @@ futures-based submission under a supervisor loop that treats each
 
 Parallel sweeps dispatch files in **chunks** (``SweepOptions.chunk_size``,
 auto-scaled by default) to amortize submit/pickle/collect overhead on
-cold sweeps, but the *file* stays the unit of failure: workers catch
-per-file exceptions inside a chunk and report them as inline markers
-(same strike progression), a crashed multi-file chunk retries its files
-one at a time in the isolation queue, and a hung multi-file chunk —
-whose deadline is the per-file budget times the chunk length — reruns
-its files in single-file chunks without charging strikes, so the next
-overrun names its culprit.
-
-Serial sweeps run through the same supervisor: crashes are simulated
-(:class:`~repro.resilience.faults.InjectedWorkerCrash`), resource
-exhaustion (``MemoryError``/``RecursionError``) is caught per file
-instead of aborting the sweep, and timeouts are detected post hoc
-(an in-process stall cannot be preempted — the overrun is recorded and
-the result discarded, so serial and parallel sweeps quarantine the
-same files).
+cold sweeps; serial sweeps run one file at a time in-process.
 """
 
 from __future__ import annotations
@@ -77,11 +67,6 @@ if TYPE_CHECKING:
 #: ``payload["error"]`` marker for files the supervisor gave up on.
 QUARANTINED = "quarantined"
 
-#: Exceptions that mark one *file* as poison rather than the sweep as
-#: broken: resource exhaustion triggered by the file's content, and the
-#: serial-mode stand-in for a worker death.
-_POISON_EXCEPTIONS = (MemoryError, RecursionError, InjectedWorkerCrash)
-
 #: Backoff schedule between pool restarts / file retries.  Short base —
 #: sweep retries are cheap compared to hardware reads — but the same
 #: exponential discipline as the measurement layer.
@@ -91,6 +76,9 @@ DEFAULT_SWEEP_POLICY = ResiliencePolicy(
     backoff_max_seconds=0.5,
     jitter=0.0,
 )
+
+#: Supervisor wake-up interval: watchdog and interrupt-check granularity.
+POLL_SECONDS = 0.05
 
 
 class SweepInterrupted(KeyboardInterrupt):
@@ -124,16 +112,12 @@ class SweepOptions:
         Wall-clock budget per file.  In parallel sweeps the watchdog
         kills and recycles the worker when it expires; in serial sweeps
         the overrun is detected after the fact and the result
-        discarded.  ``None`` disables the watchdog.
+        discarded.  Either way the file takes a ``hang`` strike.
+        ``None`` disables the watchdog.
     max_retries:
         Extra attempts per file after its first failure; a file failing
-        ``max_retries + 1`` times is quarantined.
-    max_tasks_per_child:
-        Tasks (chunks, in a parallel sweep) one worker processes before
-        being replaced (bounds worker memory growth); ``None`` keeps
-        workers for the whole sweep.  Uses the forkserver/spawn start
-        method, so worker startup is slower — pair with a generous
-        ``timeout_seconds``.
+        ``max_retries + 1`` times is quarantined, whether the sweep is
+        serial or parallel.
     resume:
         Complete a previously interrupted sweep from its journal
         instead of starting over.
@@ -141,11 +125,6 @@ class SweepOptions:
         Chaos-testing fault plan (see
         :class:`~repro.resilience.faults.SweepFaultPlan`); ``None``
         (the default) injects nothing.
-    policy:
-        Backoff schedule between retries and pool restarts.
-    poll_seconds:
-        Supervisor wake-up interval (watchdog + interrupt check
-        granularity).
     self_profile:
         When True, the sweep engine profiles its own execution: worker
         processes bootstrap a thread/task-following tracer (via the
@@ -155,19 +134,16 @@ class SweepOptions:
     chunk_size:
         Files per parallel dispatch.  ``None`` (the default) scales the
         chunk with the pending-file count and worker count; ``1``
-        restores strict per-file dispatch.  Chunking amortizes the
-        submit/pickle/collect overhead that dominates cold sweeps of
-        many small files; failure isolation stays per *file* (see
-        :class:`SweepSupervisor`).  Serial sweeps ignore it.
+        restores strict per-file dispatch.  Failure isolation stays per
+        *file* (see :class:`SweepSupervisor`).  Serial sweeps ignore it.
+
+    Retry/restart backoff follows :data:`DEFAULT_SWEEP_POLICY`.
     """
 
     timeout_seconds: float | None = None
     max_retries: int = 2
-    max_tasks_per_child: int | None = None
     resume: bool = False
     faults: SweepFaultPlan | None = None
-    policy: ResiliencePolicy = DEFAULT_SWEEP_POLICY
-    poll_seconds: float = 0.05
     self_profile: bool = False
     chunk_size: int | None = None
 
@@ -180,12 +156,6 @@ class SweepOptions:
             raise ValueError(f"chunk_size must be >= 1: {self.chunk_size}")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0: {self.max_retries}")
-        if self.max_tasks_per_child is not None and self.max_tasks_per_child < 1:
-            raise ValueError(
-                f"max_tasks_per_child must be >= 1: {self.max_tasks_per_child}"
-            )
-        if self.poll_seconds <= 0:
-            raise ValueError(f"poll_seconds must be positive: {self.poll_seconds}")
 
 
 @dataclass(frozen=True)
@@ -331,10 +301,62 @@ def quarantine_payload(entry: QuarantineEntry) -> dict:
     }
 
 
+#: Payload key that reports one file's failure inline:
+#: ``{_CHUNK_FAILURE_KEY: [reason, detail]}``.  Catching per file keeps
+#: one poisonous file from discarding its chunk-mates' finished work,
+#: and the supervisor routes every marker — serial or parallel —
+#: through the same strike/quarantine path.
+_CHUNK_FAILURE_KEY = "__fail__"
+
+
+def _failure(reason: str, detail: str) -> dict:
+    return {_CHUNK_FAILURE_KEY: [reason, detail]}
+
+
+def _run_file(
+    job: "SweepJob",
+    processor: object,
+    faults: SweepFaultPlan | None,
+    path: str,
+    source: str,
+    in_worker: bool,
+) -> dict:
+    try:
+        if faults is not None:
+            apply_worker_fault(faults, path, in_worker=in_worker)
+        return job.run(processor, path, source)
+    except Exception as error:
+        return _failure(
+            _poison_reason(error), f"{type(error).__name__}: {error}"
+        )
+
+
+def _run_items(
+    job: "SweepJob",
+    processor: object,
+    faults: SweepFaultPlan | None,
+    items: list[tuple[str, str]],
+    in_worker: bool,
+) -> list[dict]:
+    """Run ``(path, source)`` items through ``job``, one payload each.
+
+    Any exception — ``MemoryError``, ``RecursionError`` and
+    :class:`~repro.resilience.faults.InjectedWorkerCrash` included —
+    becomes that file's inline failure marker.  A crash fault in a
+    worker (``in_worker=True``) still kills the whole process
+    (``os._exit`` cannot be caught); the parent sees
+    ``BrokenProcessPool`` and attributes it instead.
+    """
+    return [
+        _run_file(job, processor, faults, path, source, in_worker)
+        for path, source in items
+    ]
+
+
 # -- worker-process entry points ------------------------------------------
-# Module-level so every start method (fork, forkserver, spawn) can pickle
-# them.  State is set once per worker by the initializer: the job's
-# rules/transforms are rebuilt per process instead of pickled per task.
+# Module-level so the pool can pickle them.  State is set once per
+# worker by the initializer: the job's rules/transforms are rebuilt per
+# process instead of pickled per task.
 
 _WORKER_JOB = None
 _WORKER_PROCESSOR = None
@@ -363,55 +385,11 @@ def _worker_init(job: "SweepJob", faults: SweepFaultPlan | None = None) -> None:
     maybe_bootstrap()
 
 
-def _worker_run(item: tuple[str, str]) -> dict:
-    path, source = item
-    assert _WORKER_JOB is not None
-    if _WORKER_FAULTS is not None:
-        apply_worker_fault(_WORKER_FAULTS, path, in_worker=True)
-    return _WORKER_JOB.run(_WORKER_PROCESSOR, path, source)
-
-
-#: Payload key a chunk worker uses to report one file's failure inline:
-#: ``{_CHUNK_FAILURE_KEY: [reason, detail]}``.  Catching per file keeps
-#: one poisonous file from discarding its chunk-mates' finished work,
-#: and the parent routes the marker through the exact strike/quarantine
-#: path a per-file dispatch would have taken.
-_CHUNK_FAILURE_KEY = "__fail__"
-
-
 def _worker_run_chunk(items: list[tuple[str, str]]) -> list[dict]:
-    """Process a chunk of files, isolating failures per file.
-
-    A crash fault still kills the whole worker (``os._exit`` cannot be
-    caught) — the parent sees ``BrokenProcessPool`` for the chunk and
-    retries its files in isolation, so crash attribution is unchanged.
-    """
     assert _WORKER_JOB is not None
-    payloads: list[dict] = []
-    for path, source in items:
-        try:
-            if _WORKER_FAULTS is not None:
-                apply_worker_fault(_WORKER_FAULTS, path, in_worker=True)
-            payloads.append(_WORKER_JOB.run(_WORKER_PROCESSOR, path, source))
-        except _POISON_EXCEPTIONS as error:
-            payloads.append(
-                {
-                    _CHUNK_FAILURE_KEY: [
-                        _poison_reason(error),
-                        f"{type(error).__name__}: {error}",
-                    ]
-                }
-            )
-        except Exception as error:
-            payloads.append(
-                {
-                    _CHUNK_FAILURE_KEY: [
-                        "error",
-                        f"{type(error).__name__}: {error}",
-                    ]
-                }
-            )
-    return payloads
+    return _run_items(
+        _WORKER_JOB, _WORKER_PROCESSOR, _WORKER_FAULTS, items, in_worker=True
+    )
 
 
 @dataclass
@@ -423,8 +401,6 @@ class _Item:
     source: str
     key: str
     failures: int = 0
-    last_reason: str = ""
-    last_detail: str = ""
     #: Set when this file must be dispatched in a chunk of its own —
     #: a survivor of an ambiguous multi-file chunk failure, retried
     #: alone so the next failure is attributable to one file.
@@ -456,7 +432,6 @@ class SweepSupervisor:
         self.retries = 0
         self.pool_restarts = 0
         self.timeouts = 0
-        self.worker_crashes = 0
         self._journal_path = Path(journal_path) if journal_path else None
         self._journal_seed = dict(journal_seed or {})
         self._completed: dict[str, dict] = {}
@@ -506,7 +481,7 @@ class SweepSupervisor:
     def _handle_signal(self, signum, frame) -> None:  # pragma: no cover
         self._interrupted = True
 
-    def _check_interrupt(self, pool: "ProcessPoolExecutor | None" = None) -> None:
+    def _check_interrupt(self) -> None:
         faults = self.options.faults
         if (
             faults is not None
@@ -516,8 +491,6 @@ class SweepSupervisor:
             self._interrupted = True
         if not self._interrupted:
             return
-        if pool is not None:
-            self._kill_pool(pool)
         self._flush_journal()
         raise SweepInterrupted(
             f"sweep interrupted after {len(self._completed)} of "
@@ -541,365 +514,39 @@ class SweepSupervisor:
         results[item.index] = payload
         self._completed[item.key] = payload
 
-    def _strike(self, item: _Item, reason: str, detail: str) -> bool:
-        """Charge one failure; True when the item is now quarantined."""
-        item.failures += 1
-        item.last_reason = reason
-        item.last_detail = detail
-        if reason == "hang":
-            self.timeouts += 1
-        if item.failures > self.options.max_retries:
-            self.quarantine.entries.append(
-                QuarantineEntry(
-                    path=item.path,
-                    reason=reason,
-                    failures=item.failures,
-                    detail=detail,
-                )
-            )
-            return True
-        self.retries += 1
-        return False
-
-    def _fail(
+    def _dispatch_failure(
         self,
         item: _Item,
         reason: str,
         detail: str,
-        requeue: deque,
+        queue: deque,
+        isolation: deque,
         results: list,
     ) -> None:
-        if self._strike(item, reason, detail):
-            self._record(
-                item, quarantine_payload(self.quarantine.entries[-1]), results
-            )
-        else:
-            time.sleep(
-                self.options.policy.backoff_delay(max(item.failures - 1, 0))
-            )
-            requeue.append(item)
+        """Charge one attributed failure (a strike).
 
-    # -- serial path ----------------------------------------------------
-
-    def _run_serial(self, items: list[_Item]) -> list[dict]:
-        options = self.options
-        results: list = [None] * len(items)
-        queue: deque[_Item] = deque(items)
-        processor = self.job.build()
-        while queue:
-            self._check_interrupt()
-            item = queue.popleft()
-            started = time.monotonic()
-            try:
-                if options.faults is not None:
-                    apply_worker_fault(options.faults, item.path, in_worker=False)
-                payload = self.job.run(processor, item.path, item.source)
-            except _POISON_EXCEPTIONS as error:
-                self._fail(
-                    item,
-                    _poison_reason(error),
-                    f"{type(error).__name__}: {error}",
-                    queue,
-                    results,
-                )
-                continue
-            except Exception as error:
-                # A rule/transform bug on one file is that file's
-                # problem, not the sweep's: same retry/quarantine path.
-                self._fail(
-                    item,
-                    "error",
-                    f"{type(error).__name__}: {error}",
-                    queue,
-                    results,
-                )
-                continue
-            elapsed = time.monotonic() - started
-            if (
-                options.timeout_seconds is not None
-                and elapsed > options.timeout_seconds
-            ):
-                # In-process stalls cannot be preempted; detect the
-                # overrun post hoc and discard the late result so serial
-                # and parallel sweeps quarantine the same files.
-                self._fail(
-                    item,
-                    "hang",
-                    f"took {elapsed:.2f}s "
-                    f"(limit {options.timeout_seconds:g}s; serial sweeps "
-                    f"detect overruns after the fact)",
-                    queue,
-                    results,
-                )
-                continue
-            self._record(item, payload, results)
-        return results
-
-    # -- parallel path ---------------------------------------------------
-
-    def _new_pool(self) -> "ProcessPoolExecutor":
-        from concurrent.futures import ProcessPoolExecutor
-
-        kwargs: dict = dict(
-            max_workers=self.workers,
-            initializer=_worker_init,
-            initargs=(self.job, self.options.faults),
-        )
-        if self.options.max_tasks_per_child is not None:
-            import multiprocessing
-
-            methods = multiprocessing.get_all_start_methods()
-            method = "forkserver" if "forkserver" in methods else "spawn"
-            kwargs["mp_context"] = multiprocessing.get_context(method)
-            kwargs["max_tasks_per_child"] = self.options.max_tasks_per_child
-        return ProcessPoolExecutor(**kwargs)
-
-    @staticmethod
-    def _kill_pool(pool: "ProcessPoolExecutor") -> None:
-        """Hard-stop a pool: SIGKILL workers, then reap the executor.
-
-        SIGKILL rather than SIGTERM: a worker stuck in C code (or one
-        that somehow still holds an inherited signal handler) cannot
-        swallow it, so the watchdog's recycle is bounded by process
-        teardown, not by whatever the hung worker was doing.
+        A file past ``max_retries`` strikes is quarantined; otherwise it
+        backs off and is requeued.  Crashers retry in ``isolation`` so
+        repeat crashes stay attributed; everything else rejoins
+        ``queue``.  Serial sweeps pass one deque as both, so every retry
+        goes to its tail.
         """
-        for process in list((getattr(pool, "_processes", None) or {}).values()):
-            try:
-                process.kill()
-            except Exception:  # pragma: no cover - already-dead workers
-                pass
-        pool.shutdown(wait=True, cancel_futures=True)
-
-    def _chunk_deadline(self, size: int) -> float | None:
-        """Watchdog deadline for a chunk: the per-file budget times the
-        chunk length, so chunking never tightens a file's time budget."""
-        if self.options.timeout_seconds is None:
-            return None
-        return time.monotonic() + self.options.timeout_seconds * size
-
-    def _pick_chunk_size(self, total: int) -> int:
-        """Files per dispatch when ``SweepOptions.chunk_size`` is auto.
-
-        About four dispatch waves per worker keeps the pool
-        load-balanced near the tail while amortizing per-task
-        submit/pickle overhead; the cap bounds how much work one
-        crashed or hung chunk forces into one-at-a-time retries.
-        """
-        configured = self.options.chunk_size
-        if configured is not None:
-            return configured
-        return max(1, min(8, -(-total // (self.workers * 4))))
-
-    @staticmethod
-    def _next_chunk(queue: "deque[_Item]", chunk_size: int) -> list[_Item]:
-        chunk = [queue.popleft()]
-        if chunk[0].solo:
-            return chunk
-        while queue and len(chunk) < chunk_size and not queue[0].solo:
-            chunk.append(queue.popleft())
-        return chunk
-
-    def _restart_backoff(self) -> None:
-        delay = self.options.policy.backoff_delay(
-            min(self.pool_restarts, 8)
-        )
-        if delay > 0:
-            time.sleep(delay)
-
-    def _run_parallel(self, items: list[_Item]) -> list[dict]:
-        from concurrent.futures import FIRST_COMPLETED, wait
-        from concurrent.futures.process import BrokenProcessPool
-
-        results: list = [None] * len(items)
-        queue: deque[_Item] = deque(items)
-        #: Crash suspects run one at a time so the next crash is
-        #: unambiguously attributable.
-        isolation: deque[_Item] = deque()
-        #: future -> (chunk items, watchdog deadline)
-        in_flight: dict = {}
-        chunk_size = self._pick_chunk_size(len(items))
-        pool = self._new_pool()
-        try:
-            while queue or isolation or in_flight:
-                try:
-                    self._check_interrupt(pool=pool)
-                except SweepInterrupted:
-                    pool = None  # _check_interrupt already reaped it
-                    raise
-                # Keep the in-flight window at the worker count so a
-                # submitted future is a *running* future and deadlines
-                # measure execution, not queueing.
-                broken_on_submit = False
-                while queue and len(in_flight) < self.workers:
-                    chunk = self._next_chunk(queue, chunk_size)
-                    try:
-                        future = pool.submit(
-                            _worker_run_chunk,
-                            [(item.path, item.source) for item in chunk],
-                        )
-                    except BrokenProcessPool:
-                        # A crash from the previous round beat us to the
-                        # pool; requeue and fall into crash recovery.
-                        queue.extendleft(reversed(chunk))
-                        broken_on_submit = True
-                        break
-                    in_flight[future] = (chunk, self._chunk_deadline(len(chunk)))
-                if not broken_on_submit and not in_flight and isolation:
-                    item = isolation.popleft()
-                    try:
-                        future = pool.submit(
-                            _worker_run_chunk, [(item.path, item.source)]
-                        )
-                    except BrokenProcessPool:
-                        isolation.appendleft(item)
-                        broken_on_submit = True
-                    else:
-                        in_flight[future] = ([item], self._chunk_deadline(1))
-                if broken_on_submit:
-                    crashed = [
-                        item
-                        for chunk, _ in in_flight.values()
-                        for item in chunk
-                    ]
-                    in_flight.clear()
-                    self.worker_crashes += 1
-                    self.pool_restarts += 1
-                    self._kill_pool(pool)
-                    self._restart_backoff()
-                    pool = self._new_pool()
-                    if len(crashed) == 1:
-                        self._dispatch_failure(
-                            crashed[0],
-                            "crash",
-                            "worker process died while analyzing this file",
-                            queue,
-                            isolation,
-                            results,
-                        )
-                    else:
-                        isolation.extend(crashed)
-                    continue
-                if not in_flight:
-                    continue
-                done, _ = wait(
-                    set(in_flight),
-                    timeout=self.options.poll_seconds,
-                    return_when=FIRST_COMPLETED,
-                )
-                pool_broken = False
-                crashed: list[_Item] = []
-                for future in done:
-                    chunk, _deadline = in_flight.pop(future)
-                    try:
-                        payloads = future.result()
-                    except BrokenProcessPool:
-                        crashed.extend(chunk)
-                        pool_broken = True
-                    except _POISON_EXCEPTIONS as error:
-                        self._chunk_exception(
-                            chunk,
-                            _poison_reason(error),
-                            f"{type(error).__name__}: {error}",
-                            queue,
-                            isolation,
-                            results,
-                        )
-                    except Exception as error:
-                        self._chunk_exception(
-                            chunk,
-                            "error",
-                            f"{type(error).__name__}: {error}",
-                            queue,
-                            isolation,
-                            results,
-                        )
-                    else:
-                        self._merge_chunk(
-                            chunk, payloads, queue, isolation, results
-                        )
-                if pool_broken:
-                    # Everything still in flight died with the pool.
-                    crashed.extend(
-                        item
-                        for chunk, _ in in_flight.values()
-                        for item in chunk
-                    )
-                    in_flight.clear()
-                    self.worker_crashes += 1
-                    self.pool_restarts += 1
-                    self._kill_pool(pool)
-                    self._restart_backoff()
-                    pool = self._new_pool()
-                    if len(crashed) == 1:
-                        # Unambiguous: the only in-flight file killed
-                        # its worker.
-                        self._dispatch_failure(
-                            crashed[0],
-                            "crash",
-                            "worker process died while analyzing this file",
-                            queue,
-                            isolation,
-                            results,
-                        )
-                    else:
-                        # Ambiguous collateral: charge nobody, retry all
-                        # of them one at a time.
-                        isolation.extend(crashed)
-                    continue
-                # Watchdog: hard-kill workers whose chunk overran its
-                # deadline; resubmit innocent in-flight files unharmed.
-                now = time.monotonic()
-                expired = [
-                    (future, chunk)
-                    for future, (chunk, deadline) in in_flight.items()
-                    if deadline is not None and now > deadline
-                ]
-                if expired:
-                    hung = {future for future, _ in expired}
-                    innocents = [
-                        item
-                        for future, (chunk, _deadline) in in_flight.items()
-                        if future not in hung
-                        for item in chunk
-                    ]
-                    in_flight.clear()
-                    self.pool_restarts += 1
-                    self._kill_pool(pool)
-                    pool = self._new_pool()
-                    for _future, chunk in expired:
-                        if len(chunk) == 1:
-                            self._dispatch_failure(
-                                chunk[0],
-                                "hang",
-                                f"no result within "
-                                f"{self.options.timeout_seconds:g}s; "
-                                "worker killed and recycled",
-                                queue,
-                                isolation,
-                                results,
-                            )
-                        else:
-                            # Any file in the chunk may be the staller:
-                            # charge nobody, rerun them one per chunk so
-                            # the next overrun names its file.
-                            for item in chunk:
-                                item.solo = True
-                                queue.appendleft(item)
-                    for item in innocents:
-                        queue.appendleft(item)
-            # Trailing check: on a fast corpus the final wait round can
-            # drain queue and in-flight together, ending the loop before
-            # its top-of-iteration check sees a signal (or the
-            # interrupt-after-N fault threshold) raised mid-round.
-            try:
-                self._check_interrupt(pool=pool)
-            except SweepInterrupted:
-                pool = None  # _check_interrupt already reaped it
-                raise
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True, cancel_futures=True)
-        return results
+        item.failures += 1
+        if reason == "hang":
+            self.timeouts += 1
+        if item.failures > self.options.max_retries:
+            entry = QuarantineEntry(
+                path=item.path,
+                reason=reason,
+                failures=item.failures,
+                detail=detail,
+            )
+            self.quarantine.entries.append(entry)
+            self._record(item, quarantine_payload(entry), results)
+            return
+        self.retries += 1
+        time.sleep(DEFAULT_SWEEP_POLICY.backoff_delay(item.failures - 1))
+        (isolation if reason == "crash" else queue).append(item)
 
     def _merge_chunk(
         self,
@@ -911,10 +558,10 @@ class SweepSupervisor:
     ) -> None:
         """Fold one completed chunk reply back into the sweep.
 
-        Per-file failure markers take the same strike path a dedicated
-        per-file dispatch would have; finished chunk-mates are recorded
-        normally.  A malformed reply (wrong shape/length) is treated as
-        unattributable unless the chunk held a single file.
+        Per-file failure markers take the strike path; finished
+        chunk-mates are recorded normally.  A malformed reply (wrong
+        shape/length) is treated as unattributable unless the chunk held
+        a single file.
         """
         if not isinstance(payloads, list) or len(payloads) != len(chunk):
             self._chunk_exception(
@@ -964,21 +611,280 @@ class SweepSupervisor:
             item.solo = True
             queue.append(item)
 
-    def _dispatch_failure(
+    # -- serial path ----------------------------------------------------
+
+    def _run_serial(self, items: list[_Item]) -> list[dict]:
+        results: list = [None] * len(items)
+        queue: deque[_Item] = deque(items)
+        processor = self.job.build()
+        while queue:
+            self._check_interrupt()
+            item = queue.popleft()
+            payload = self._run_in_process(processor, item)
+            self._merge_chunk([item], [payload], queue, queue, results)
+        return results
+
+    def _run_in_process(self, processor: object, item: _Item) -> dict:
+        """One file through the shared executor, timed.
+
+        In-process stalls cannot be preempted; an overrun is detected
+        post hoc and the late result discarded, so serial and parallel
+        sweeps quarantine the same files.
+        """
+        timeout = self.options.timeout_seconds
+        started = time.monotonic()
+        [payload] = _run_items(
+            self.job,
+            processor,
+            self.options.faults,
+            [(item.path, item.source)],
+            in_worker=False,
+        )
+        elapsed = time.monotonic() - started
+        if (
+            timeout is not None
+            and elapsed > timeout
+            and _CHUNK_FAILURE_KEY not in payload
+        ):
+            return _failure(
+                "hang",
+                f"took {elapsed:.2f}s (limit {timeout:g}s; serial "
+                "sweeps detect overruns after the fact)",
+            )
+        return payload
+
+    # -- parallel path ---------------------------------------------------
+
+    def _new_pool(self) -> "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor(
+            max_workers=self.workers,
+            initializer=_worker_init,
+            initargs=(self.job, self.options.faults),
+        )
+
+    @staticmethod
+    def _kill_pool(pool: "ProcessPoolExecutor") -> None:
+        """Hard-stop a pool: SIGKILL workers, then reap the executor.
+
+        SIGKILL rather than SIGTERM: a worker stuck in C code (or one
+        that somehow still holds an inherited signal handler) cannot
+        swallow it, so the watchdog's recycle is bounded by process
+        teardown, not by whatever the hung worker was doing.
+        """
+        for process in list((getattr(pool, "_processes", None) or {}).values()):
+            try:
+                process.kill()
+            except Exception:  # pragma: no cover - already-dead workers
+                pass
+        pool.shutdown(wait=True, cancel_futures=True)
+
+    def _chunk_deadline(self, size: int) -> float | None:
+        """Watchdog deadline for a chunk: the per-file budget times the
+        chunk length, so chunking never tightens a file's time budget."""
+        if self.options.timeout_seconds is None:
+            return None
+        return time.monotonic() + self.options.timeout_seconds * size
+
+    def _pick_chunk_size(self, total: int) -> int:
+        """Files per dispatch when ``SweepOptions.chunk_size`` is auto.
+
+        About four dispatch waves per worker keeps the pool
+        load-balanced near the tail while amortizing per-task
+        submit/pickle overhead; the cap bounds how much work one
+        crashed or hung chunk forces into one-at-a-time retries.
+        """
+        configured = self.options.chunk_size
+        if configured is not None:
+            return configured
+        return max(1, min(8, -(-total // (self.workers * 4))))
+
+    @staticmethod
+    def _next_chunk(queue: "deque[_Item]", chunk_size: int) -> list[_Item]:
+        chunk = [queue.popleft()]
+        if chunk[0].solo:
+            return chunk
+        while queue and len(chunk) < chunk_size and not queue[0].solo:
+            chunk.append(queue.popleft())
+        return chunk
+
+    def _submit(
+        self, pool: "ProcessPoolExecutor", chunk: list[_Item], in_flight: dict
+    ) -> bool:
+        """Submit one chunk; False when the pool is already broken."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        try:
+            future = pool.submit(
+                _worker_run_chunk, [(item.path, item.source) for item in chunk]
+            )
+        except BrokenProcessPool:
+            return False
+        in_flight[future] = (chunk, self._chunk_deadline(len(chunk)))
+        return True
+
+    def _recover_broken_pool(
         self,
-        item: _Item,
-        reason: str,
-        detail: str,
+        pool: "ProcessPoolExecutor",
+        crashed: list[_Item],
+        in_flight: dict,
         queue: deque,
         isolation: deque,
         results: list,
-    ) -> None:
-        if self._strike(item, reason, detail):
-            self._record(
-                item, quarantine_payload(self.quarantine.entries[-1]), results
+    ) -> "ProcessPoolExecutor":
+        """A worker died: restart the pool (with backoff) and return it.
+
+        Everything still in flight died with the pool.  With exactly one
+        file among the dead the crash is unambiguously its strike; with
+        several, nobody is charged and all retry one at a time.
+        """
+        crashed.extend(item for chunk, _ in in_flight.values() for item in chunk)
+        in_flight.clear()
+        self.pool_restarts += 1
+        self._kill_pool(pool)
+        delay = DEFAULT_SWEEP_POLICY.backoff_delay(min(self.pool_restarts, 8))
+        if delay > 0:
+            time.sleep(delay)
+        pool = self._new_pool()
+        if len(crashed) == 1:
+            self._dispatch_failure(
+                crashed[0],
+                "crash",
+                "worker process died while analyzing this file",
+                queue,
+                isolation,
+                results,
             )
-            return
-        time.sleep(self.options.policy.backoff_delay(max(item.failures - 1, 0)))
-        # Crashers retry in isolation so repeat crashes stay attributed;
-        # everything else rejoins the parallel queue.
-        (isolation if reason == "crash" else queue).append(item)
+        else:
+            isolation.extend(crashed)
+        return pool
+
+    def _run_parallel(self, items: list[_Item]) -> list[dict]:
+        from concurrent.futures import FIRST_COMPLETED, wait
+        from concurrent.futures.process import BrokenProcessPool
+
+        results: list = [None] * len(items)
+        queue: deque[_Item] = deque(items)
+        #: Crash suspects run one at a time so the next crash is
+        #: unambiguously attributable.
+        isolation: deque[_Item] = deque()
+        #: future -> (chunk items, watchdog deadline)
+        in_flight: dict = {}
+        chunk_size = self._pick_chunk_size(len(items))
+        poll_seconds = POLL_SECONDS
+        pool = self._new_pool()
+        try:
+            while queue or isolation or in_flight:
+                self._check_interrupt()
+                # Keep the in-flight window at the worker count so a
+                # submitted future is a *running* future and deadlines
+                # measure execution, not queueing.
+                broken = False
+                while queue and len(in_flight) < self.workers:
+                    chunk = self._next_chunk(queue, chunk_size)
+                    if not self._submit(pool, chunk, in_flight):
+                        # A crash from the previous round beat us to the
+                        # pool; requeue and fall into crash recovery.
+                        queue.extendleft(reversed(chunk))
+                        broken = True
+                        break
+                if not broken and not in_flight and isolation:
+                    item = isolation.popleft()
+                    if not self._submit(pool, [item], in_flight):
+                        isolation.appendleft(item)
+                        broken = True
+                if broken:
+                    pool = self._recover_broken_pool(
+                        pool, [], in_flight, queue, isolation, results
+                    )
+                    continue
+                if not in_flight:
+                    continue
+                done, _ = wait(
+                    set(in_flight),
+                    timeout=poll_seconds,
+                    return_when=FIRST_COMPLETED,
+                )
+                crashed: list[_Item] = []
+                for future in done:
+                    # Per reply, not per round: several chunks finishing
+                    # in one round must not overshoot the interrupt.
+                    self._check_interrupt()
+                    chunk, _deadline = in_flight.pop(future)
+                    try:
+                        payloads = future.result()
+                    except BrokenProcessPool:
+                        crashed.extend(chunk)
+                    except Exception as error:
+                        self._chunk_exception(
+                            chunk,
+                            _poison_reason(error),
+                            f"{type(error).__name__}: {error}",
+                            queue,
+                            isolation,
+                            results,
+                        )
+                    else:
+                        self._merge_chunk(
+                            chunk, payloads, queue, isolation, results
+                        )
+                if crashed:
+                    pool = self._recover_broken_pool(
+                        pool, crashed, in_flight, queue, isolation, results
+                    )
+                    continue
+                # Watchdog: hard-kill workers whose chunk overran its
+                # deadline; resubmit innocent in-flight files unharmed.
+                now = time.monotonic()
+                expired = [
+                    (future, chunk)
+                    for future, (chunk, deadline) in in_flight.items()
+                    if deadline is not None and now > deadline
+                ]
+                if expired:
+                    hung = {future for future, _ in expired}
+                    innocents = [
+                        item
+                        for future, (chunk, _deadline) in in_flight.items()
+                        if future not in hung
+                        for item in chunk
+                    ]
+                    in_flight.clear()
+                    self.pool_restarts += 1
+                    self._kill_pool(pool)
+                    pool = self._new_pool()
+                    for _future, chunk in expired:
+                        if len(chunk) == 1:
+                            self._dispatch_failure(
+                                chunk[0],
+                                "hang",
+                                f"no result within "
+                                f"{self.options.timeout_seconds:g}s; "
+                                "worker killed and recycled",
+                                queue,
+                                isolation,
+                                results,
+                            )
+                        else:
+                            # Any file in the chunk may be the staller:
+                            # charge nobody, rerun them one per chunk so
+                            # the next overrun names its file.
+                            for item in chunk:
+                                item.solo = True
+                                queue.appendleft(item)
+                    for item in innocents:
+                        queue.appendleft(item)
+            # Trailing check: on a fast corpus the final wait round can
+            # drain queue and in-flight together, ending the loop before
+            # its top-of-iteration check sees a signal (or the
+            # interrupt-after-N fault threshold) raised mid-round.
+            self._check_interrupt()
+        except SweepInterrupted:
+            self._kill_pool(pool)
+            pool = None
+            raise
+        finally:
+            if pool is not None:
+                pool.shutdown(wait=True, cancel_futures=True)
+        return results

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.analyzer.findings import Finding, Severity, compute_confidence
-from repro.analyzer.pool import SuggestionPool
 from repro.analyzer.rules.base import (
     _bound_names,
     collect_module_names,
@@ -57,7 +56,6 @@ class AnalysisContext:
         self.filename = filename
         self.source_lines = source.splitlines()
         self.tree = tree
-        self.pool = SuggestionPool()
         self.module_names = collect_module_names(tree)
         self.loop_stack: list[ast.For | ast.While] = []
         self.function_stack: list[FunctionInfo] = []
@@ -173,8 +171,10 @@ class AnalysisContext:
         snippet = ""
         if 1 <= line <= len(self.source_lines):
             snippet = self.source_lines[line - 1].strip()
-        entry = self.pool.entry(rule_id)
-        overhead = self.pool.overhead_percent(rule_id)
+        from repro.rules import REGISTRY
+
+        entry = REGISTRY.get(rule_id)
+        overhead = entry.overhead_percent
         hot_depth = self.semantics.hot_depth(node)
         caller_hotness = 0
         func = self.semantics.enclosing_function(node)

@@ -226,7 +226,7 @@ class TestCli:
 
     def test_suggest_json_alias_still_works(self, tmp_path, capsys):
         (tmp_path / "hot.py").write_text(DIRTY)
-        main(["suggest", str(tmp_path), "--json"])
+        main(["suggest", str(tmp_path), "--format", "json"])
         jsonl = capsys.readouterr().out
         main(["suggest", str(tmp_path), "--format", "json"])
         assert capsys.readouterr().out == jsonl

@@ -1,10 +1,11 @@
-"""Tests for the analyzer engine, pool, and the dynamic (Fig. 2) mode."""
+"""Tests for the analyzer engine, suggestion pool, and the dynamic (Fig. 2) mode."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analyzer import Analyzer, DynamicAnalyzer, SuggestionPool, analyze_source
+from repro.analyzer import Analyzer, DynamicAnalyzer, analyze_source
+from repro.rules import REGISTRY
 from repro.analyzer.findings import Severity
 from repro.analyzer.rules import ALL_RULES
 
@@ -223,31 +224,29 @@ class TestDispatchIndex:
 
 
 class TestSuggestionPool:
+    """Table I's suggestion pool, served by the rule registry."""
+
     def test_thirteen_entries(self):
-        pool = SuggestionPool()
-        assert len(pool) == 13
+        assert len(REGISTRY.table1_specs()) == 13
 
     def test_java_text_matches_table_i(self):
-        pool = SuggestionPool()
-        assert pool.entry("R05_MODULUS").java_suggestion.startswith(
+        assert REGISTRY.get("R05_MODULUS").java_suggestion.startswith(
             "Modulus arithmetic operator consumes up to 1,620%"
         )
-        assert "StringBuilder append" in pool.entry("R08_STR_CONCAT").java_suggestion
-        assert "System.arraycopy()" in pool.entry("R10_ARRAY_COPY").java_suggestion
+        assert "StringBuilder append" in REGISTRY.get("R08_STR_CONCAT").java_suggestion
+        assert "System.arraycopy()" in REGISTRY.get("R10_ARRAY_COPY").java_suggestion
 
     def test_every_entry_has_python_translation(self):
-        pool = SuggestionPool()
-        for entry in pool.entries():
-            assert entry.python_component
-            assert entry.python_suggestion
-            assert pool.overhead_percent(entry.rule_id) > 0
+        for spec in REGISTRY.table1_specs():
+            assert spec.python_component
+            assert spec.python_suggestion
+            assert spec.overhead_percent > 0
 
     def test_membership_and_lookup(self):
-        pool = SuggestionPool()
-        assert "R11_TRAVERSAL" in pool
-        assert "R99_FAKE" not in pool
+        assert "R11_TRAVERSAL" in REGISTRY
+        assert "R99_FAKE" not in REGISTRY
         with pytest.raises(KeyError):
-            pool.entry("R99_FAKE")
+            REGISTRY.get("R99_FAKE")
 
 
 class TestDynamicAnalyzer:

@@ -94,13 +94,12 @@ class TestR15RangeLen:
 
 class TestPoolExtensions:
     def test_pool_lookup_covers_extensions(self):
-        from repro.analyzer.pool import SuggestionPool
+        from repro.rules import REGISTRY
 
-        pool = SuggestionPool()
-        assert len(pool) == 13  # Table I unchanged
-        assert len(pool.extension_entries()) == 5
-        assert "comprehension" in pool.suggestion("R14_APPEND_LOOP")
-        assert pool.overhead_percent("R15_RANGE_LEN") > 0
+        assert len(REGISTRY.table1_specs()) == 13  # Table I unchanged
+        assert len(REGISTRY.extension_specs()) == 5
+        assert "comprehension" in REGISTRY.get("R14_APPEND_LOOP").python_suggestion
+        assert REGISTRY.get("R15_RANGE_LEN").overhead_percent > 0
 
     def test_cost_table_marks_extensions(self):
         from repro.rapl.model import OperationCostTable

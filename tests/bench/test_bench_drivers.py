@@ -14,9 +14,9 @@ class TestMicroPairs:
     def test_thirteen_pairs_cover_all_rules(self):
         rule_ids = {pair.rule_id for pair in MICRO_PAIRS}
         assert len(MICRO_PAIRS) == 13
-        from repro.analyzer.pool import SuggestionPool
+        from repro.rules import REGISTRY
 
-        assert rule_ids == {e.rule_id for e in SuggestionPool().entries()}
+        assert rule_ids == {s.rule_id for s in REGISTRY.table1_specs()}
 
     @pytest.mark.parametrize("pair", MICRO_PAIRS, ids=lambda p: p.rule_id)
     def test_pair_forms_agree(self, pair):

@@ -51,7 +51,7 @@ class TestSuggest:
 
         path = tmp_path / "mod.py"
         path.write_text(DIRTY)
-        assert main(["suggest", str(path), "--json"]) == 0
+        assert main(["suggest", str(path), "--format", "json"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         records = [json.loads(line) for line in lines]
         assert any(r["rule"] == "R08_STR_CONCAT" for r in records)
@@ -317,19 +317,19 @@ class TestFaultTolerantSweeps:
     ):
         project = self._hostile_project(tmp_path)
         (project / "crash_me.py").unlink()  # healthy corpus
-        baseline_code = main(["suggest", str(project), "--json"])
+        baseline_code = main(["suggest", str(project), "--format", "json"])
         baseline = capsys.readouterr().out
         assert baseline_code == 0
 
         self._chaos_options(monkeypatch, interrupt_after_files=2)
-        code = main(["suggest", str(project), "--json"])
+        code = main(["suggest", str(project), "--format", "json"])
         captured = capsys.readouterr()
         assert code == 130
         assert "--resume" in captured.err
         assert (project / ".pepo_cache" / "analyze-journal.json").exists()
 
         monkeypatch.undo()
-        resume_code = main(["suggest", str(project), "--json", "--resume"])
+        resume_code = main(["suggest", str(project), "--format", "json", "--resume"])
         resumed = capsys.readouterr().out
         assert resume_code == 0
         assert resumed == baseline  # byte-identical output

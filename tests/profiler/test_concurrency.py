@@ -14,14 +14,16 @@ import asyncio
 import concurrent.futures
 import multiprocessing
 import os
+import signal
 import threading
+import time
 import warnings
 
 import pytest
 
 from repro.profiler.records import MethodRecord, ProfileResult
 from repro.profiler.runtime import MonitoringRuntime
-from repro.profiler.subproc import maybe_bootstrap
+from repro.profiler.subproc import SubprocessCapture, maybe_bootstrap
 from repro.profiler.tracer import EnergyTracer
 from repro.rapl.backends import SimulatedBackend, VirtualClock
 from repro.rapl.domains import Domain
@@ -477,6 +479,96 @@ class TestSubprocessCapture:
         with tracer:
             assert os.environ.get(ENV_FLAG) == "1"
         assert os.environ.get(ENV_FLAG) == before
+
+
+def _fork_bootstrapped(body) -> int:
+    """Fork a child that bootstraps, runs *body* and never returns."""
+    pid = os.fork()
+    if pid == 0:
+        try:
+            maybe_bootstrap()
+            body()
+        finally:
+            os._exit(3)
+    return pid
+
+
+def _wait_status(pid: int, timeout: float = 10.0) -> int | None:
+    """The child's wait status, or None (child SIGKILLed) on a hang."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return status
+        time.sleep(0.01)
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    return None
+
+
+def _sleep_through_a_tripped_sigterm() -> None:
+    _pool_child(500)
+
+    def trip_from_another_thread() -> None:
+        time.sleep(0.2)
+        signal.pthread_kill(threading.get_ident(), signal.SIGTERM)
+
+    # A SIGTERM caught on another thread trips the Python handler
+    # without interrupting the main thread's wait: the state a SIGTERM
+    # landing just before a blocking call (an idle Pool worker's queue
+    # lock) leaves behind.
+    threading.Thread(target=trip_from_another_thread).start()
+    lock = threading.Lock()
+    lock.acquire()
+    lock.acquire()
+
+
+def _outlive_a_terminated_grandchild() -> None:
+    grandchild = os.fork()
+    if grandchild == 0:
+        # Signalled from within: its handler runs before the sleep.
+        os.kill(os.getpid(), signal.SIGTERM)
+        time.sleep(30)
+        os._exit(0)
+    os.waitpid(grandchild, 0)
+    time.sleep(0.3)  # room for a misrouted wakeup to act
+    os._exit(0)
+
+
+class TestSigtermRescue:
+    def _capture(self) -> SubprocessCapture:
+        capture = SubprocessCapture(
+            include=[os.path.dirname(os.path.abspath(__file__))]
+        )
+        capture.activate()
+        return capture
+
+    def test_sigterm_reaches_a_main_thread_already_asleep(self):
+        capture = self._capture()
+        try:
+            pid = _fork_bootstrapped(_sleep_through_a_tripped_sigterm)
+            status = _wait_status(pid)
+        finally:
+            spooled = capture.collect()
+        assert status is not None, "child slept through its SIGTERM"
+        assert os.WIFSIGNALED(status)
+        assert os.WTERMSIG(status) == signal.SIGTERM
+        assert any(
+            child == pid
+            and any("_pool_leaf_traced" in r.method for r in result)
+            for child, result in spooled
+        ), "profile not spooled before death"
+
+    def test_grandchild_sigterm_leaves_the_parent_alive(self):
+        capture = self._capture()
+        try:
+            pid = _fork_bootstrapped(_outlive_a_terminated_grandchild)
+            status = _wait_status(pid)
+        finally:
+            capture.collect()
+        assert status is not None, "child hung"
+        assert os.WIFEXITED(status), "the grandchild's SIGTERM killed its parent"
+        assert os.WEXITSTATUS(status) == 0
 
 
 # -- conservation (acceptance) ---------------------------------------------

@@ -6,7 +6,6 @@ import ast
 import pytest
 
 from repro.analyzer.engine import Analyzer
-from repro.analyzer.pool import SuggestionPool
 from repro.analyzer.rules.base import Rule
 from repro.bench.micro import MicroPair
 from repro.optimizer.rewriter import Optimizer
@@ -241,11 +240,11 @@ class TestRuntimeRegistrationRoundTrip:
             assert findings[0].overhead_percent == 500.0
             assert "event" in findings[0].suggestion
 
-            # The pool shim resolves it (but Table I stays Table I).
-            pool = SuggestionPool()
-            assert "X50_BUSY_WAIT" in pool
-            assert pool.suggestion("X50_BUSY_WAIT").startswith("Block")
-            assert len(pool) == 13
+            # Suggestion lookup resolves it (but Table I stays Table I).
+            assert REGISTRY.get("X50_BUSY_WAIT").python_suggestion.startswith(
+                "Block"
+            )
+            assert len(REGISTRY.table1_specs()) == 13
 
             # Optimizer applies the transform.
             result = Optimizer().optimize_source(SOURCE)
