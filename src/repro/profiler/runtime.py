@@ -23,30 +23,34 @@ profiling as small as the interpreter allows:
 Both runtimes record **deferred events**: flat tuples of raw counter
 reads pushed onto an append-only buffer.  No :class:`MethodRecord`, no
 dict of joules, no unit conversion happens inside the measured region;
-:func:`materialize` replays the buffer in a single pass at ``stop()``
-(see :class:`repro.profiler.tracer.EnergyTracer`).
+the buffers are replayed in a single pass at ``stop()`` (see
+:class:`repro.profiler.tracer.EnergyTracer`), and every replay builds
+its records through one :class:`_RecordBuilder`.
 
-Event buffer format: ``(op, meta_index, ok, payload)`` where ``op`` is
-:data:`OP_OPEN` or :data:`OP_CLOSE`, ``meta_index`` indexes the
-filter's metadata table (-1 for close events, which pair LIFO),
-``ok`` is False when the backend read failed, and ``payload`` is either
-a raw counter tuple (backends with ``snapshot_raw``) or a full
-:class:`~repro.rapl.backends.EnergySnapshot`.
+Event buffer format: ``(op, meta_index, ok, payload, task)`` where
+``op`` is :data:`OP_OPEN` or :data:`OP_CLOSE`, ``meta_index`` indexes
+the filter's metadata table (-1 for close events, which pair LIFO),
+``ok`` is False when the backend read failed, ``payload`` is either a
+raw counter tuple (backends with ``snapshot_raw``) or a full
+:class:`~repro.rapl.backends.EnergySnapshot`, and ``task`` indexes the
+runtime's interned asyncio Task table (-1 outside any task, and on
+every close event).
 
-Concurrent mode (``follow_threads=True``): instead of one buffer behind
-an owner-thread guard, each thread gets its own :class:`_ThreadState`
-with a flat append-only buffer, registered on that thread's first
-event — no locks on the hot path, because a buffer is only ever
-appended to by its own thread and only read after every hook is
-uninstalled.  Follow-mode events carry a fifth element, the index of
-the owning asyncio Task in the runtime's interned task table (-1
-outside any task).  :func:`materialize_concurrent` merges the per-
-thread buffers into one chronological sequence over the shared
-monotonic energy timeline and attributes each inter-reading slice to
-the thread that produced the later reading (under the GIL, energy
-between two consecutive event readings was overwhelmingly consumed by
-the thread that reached the second one).  When only the owner thread
-produced events, the replay degenerates *bit-exactly* to
+Each runtime has **one** set of event handlers, and they always write
+into the calling thread's :class:`_ThreadState` — its buffer, open-call
+stack and last good reading.  ``follow_threads`` only decides which
+threads get a state.  Guarded mode (the default) gives one to the
+owner thread alone and counts every other thread's events as dropped;
+:func:`materialize` replays the owner's buffer.  Follow mode gives one
+to each thread on its first event — no locks on the hot path, because
+a buffer is only ever appended to by its own thread and only read
+after every hook is uninstalled.  :func:`materialize_concurrent` merges
+the per-thread buffers into one chronological sequence over the
+shared monotonic energy timeline and attributes each inter-reading
+slice to the thread that produced the later reading (under the GIL,
+energy between two consecutive event readings was overwhelmingly
+consumed by the thread that reached the second one).  When only the
+owner thread produced events, the replay degenerates *bit-exactly* to
 :func:`materialize`: the foreign-energy correction subtracts running
 sums that are float-identical, so every record equals the sync path's.
 """
@@ -165,12 +169,18 @@ class CodeFilter:
 
 
 class _ThreadState:
-    """Per-thread deferred-event buffer (``follow_threads=True``).
+    """One thread's deferred-event buffer and open-call stack.
 
-    Registered on the thread's first event and only ever mutated by that
-    thread, so the hot path stays lock-free.  ``opens`` is the open-call
-    pairing stack (frame ids under settrace, metadata indices under
-    monitoring — same discipline as the single-threaded hooks).
+    Every hook event lands in the calling thread's state; the two modes
+    differ only in which threads get one.  Guarded mode
+    (``follow_threads=False``) registers the owner alone and counts
+    other threads' events as dropped; follow mode registers each thread
+    on its first event.  A state is only ever mutated by its own thread
+    and only read after every hook is uninstalled, so the hot path stays
+    lock-free.  ``opens`` is the open-call pairing stack (frame ids
+    under settrace, metadata indices under monitoring) and
+    ``last_payload`` the last good reading, which stands in for a failed
+    one.
 
     Keyed by the :class:`threading.Thread` *object* (pinned here), not
     the OS ident: idents are recycled as soon as a thread exits, and a
@@ -209,10 +219,12 @@ class _RuntimeBase:
     backend supports deferred conversion, ``snapshot`` otherwise); it is
     bound once so the hook pays no attribute lookup per event.
 
-    ``follow_threads`` switches from the guarded single-buffer hooks to
-    the per-thread-buffer hooks; ``current_task`` (when not None, e.g.
-    ``asyncio.current_task``) is called at every follow-mode OPEN to
-    attribute the span to the owning asyncio Task.
+    The runtime is built on the owner thread, whose state is registered
+    here in both modes (:attr:`owner_state`).  ``follow_threads`` gives
+    every other thread a state of its own instead of counting its
+    events as dropped; ``current_task`` (when not None, e.g.
+    ``asyncio.current_task``) is called at every OPEN to attribute the
+    span to the owning asyncio Task.
     """
 
     name = "?"
@@ -230,9 +242,6 @@ class _RuntimeBase:
         self._owner = owner
         self._follow = follow_threads
         self._current_task = current_task
-        self.buffer: list[tuple] = []
-        self.events = 0
-        self._last_payload: object | None = None
         # Per-thread buffers, keyed by id(Thread object) — see
         # _ThreadState on why not the (recyclable) OS ident.
         self._threads: dict[int, _ThreadState] = {}
@@ -242,18 +251,18 @@ class _RuntimeBase:
         self._task_memo: dict[int, int] = {}
         self._task_pinned: list[object] = []
         self._task_lock = threading.Lock()
-        # Cross-thread events discarded by the guarded (non-follow)
-        # hooks — satellite regression signal, surfaced on the result.
+        # Cross-thread events discarded in guarded mode — the signal
+        # for silently-vanishing concurrent energy, surfaced on the
+        # result.
         self.dropped_events = 0
         self.dropped_thread_idents: set[int] = set()
+        self.owner_state = self._register_thread(threading.current_thread())
 
     def install(self) -> None:  # pragma: no cover - interface
         raise NotImplementedError
 
     def uninstall(self) -> None:  # pragma: no cover - interface
         raise NotImplementedError
-
-    # -- follow-mode helpers -------------------------------------------
 
     def _register_thread(self, thread: threading.Thread) -> _ThreadState:
         state = _ThreadState(thread, is_owner=thread.ident == self._owner)
@@ -282,24 +291,18 @@ class _RuntimeBase:
         return index
 
     def thread_states(self) -> list[_ThreadState]:
-        """Registered per-thread buffers, owner-registration order."""
+        """Registered per-thread buffers, owner first."""
         return list(self._threads.values())
 
     def event_count(self) -> int:
-        """Hook events delivered (all threads in follow mode)."""
-        if self._follow:
-            return sum(s.events for s in self._threads.values())
-        return self.events
+        """Hook events delivered to every registered thread."""
+        return sum(state.events for state in self._threads.values())
 
     def recorded_count(self) -> int:
         """Buffered (recorded) events across every buffer."""
-        total = len(self.buffer)
-        for state in self._threads.values():
-            total += len(state.buffer)
-        return total
+        return sum(len(state.buffer) for state in self._threads.values())
 
     def clear_buffers(self) -> None:
-        self.buffer.clear()
         for state in self._threads.values():
             state.buffer.clear()
 
@@ -321,7 +324,6 @@ class SetprofileRuntime(_RuntimeBase):
         return True
 
     def install(self) -> None:
-        self._frames: list[int] = []
         self._prior = sys.getprofile()
         # threading.getprofile() (3.10+) lets us restore a hook some
         # other tool arranged for future threads.
@@ -329,21 +331,16 @@ class SetprofileRuntime(_RuntimeBase):
         self._prior_threading = (
             get_threading_profile() if get_threading_profile else None
         )
-        if self._follow:
-            # ``sys.setprofile`` is per-thread: the owner gets the hook
-            # directly, threads started from now on inherit it via
-            # ``threading.setprofile``.  Threads already running before
-            # install are not reachable from here (documented limit).
-            self._register_thread(threading.current_thread())
-            threading.setprofile(self._profile_mt)
-            sys.setprofile(self._profile_mt)
-        else:
-            # Guarded mode never sees other threads' events (per-thread
-            # hook), so plant a counting stub in threads started during
-            # the session: the drop counter is the satellite regression
-            # signal for silently-vanishing concurrent energy.
-            threading.setprofile(self._count_dropped)
-            sys.setprofile(self._profile)
+        # ``sys.setprofile`` is per-thread: the owner gets a hook bound
+        # to its state directly, threads started from now on get one
+        # through ``threading.setprofile`` — a bootstrap that binds
+        # their own hook when following, else a stub counting what the
+        # guarded session drops.  Threads already running before
+        # install are not reachable from here (documented limit).
+        threading.setprofile(
+            self._bootstrap if self._follow else self._count_dropped
+        )
+        sys.setprofile(self._hook(self.owner_state))
 
     def uninstall(self) -> None:
         sys.setprofile(self._prior)
@@ -351,51 +348,76 @@ class SetprofileRuntime(_RuntimeBase):
         self._prior = None
         self._prior_threading = None
 
-    def _profile(self, frame, event: str, arg) -> None:
-        # Branch on the event *first*: ``c_call``/``c_return`` fire for
-        # every C builtin the workload touches and must cost nothing
-        # beyond the two failed string compares — no thread check, no
-        # counter bump.  ``events`` therefore counts Python call events
-        # only, matching what the monitoring runtime can see.
+    def _hook(self, state: _ThreadState) -> Callable:
+        """The profile hook for one thread, bound to its state.
+
+        Per event it does only a memo lookup, one backend reading and
+        one tuple append, reaching the state's buffer and stack and the
+        filter memo through closure cells instead of attribute lookups.
+        """
+        buffer = state.buffer
+        opens = state.opens
+        memo = self._filter.memo
+        classify = self._filter.classify
+        snap = self._snap
+        task_index = (
+            self._task_index if self._current_task is not None else None
+        )
+
+        def profile(frame, event: str, arg) -> None:
+            # Branch on the event *first*: ``c_call``/``c_return`` fire
+            # for every C builtin the workload touches and must cost
+            # nothing beyond the two failed string compares.  ``events``
+            # therefore counts Python call events only, matching what
+            # the monitoring runtime can see.
+            if event == "call":
+                state.events += 1
+                code = frame.f_code
+                index = memo.get(id(code))
+                if index is None:
+                    index = classify(code, frame.f_globals)
+                if index >= 0:
+                    task = -1 if task_index is None else task_index()
+                    try:
+                        payload = snap()
+                    except OSError:
+                        buffer.append(
+                            (OP_OPEN, index, False, state.last_payload, task)
+                        )
+                    else:
+                        state.last_payload = payload
+                        buffer.append((OP_OPEN, index, True, payload, task))
+                    opens.append(id(frame))
+            elif event == "return":
+                state.events += 1
+                # Only frames we opened are on the id stack, so a plain
+                # tail check pairs returns with calls — unmatched
+                # returns (frames entered before start) fall through.
+                if opens and opens[-1] == id(frame):
+                    opens.pop()
+                    try:
+                        payload = snap()
+                    except OSError:
+                        buffer.append(
+                            (OP_CLOSE, -1, False, state.last_payload, -1)
+                        )
+                    else:
+                        state.last_payload = payload
+                        buffer.append((OP_CLOSE, -1, True, payload, -1))
+
+        return profile
+
+    def _bootstrap(self, frame, event: str, arg) -> None:
+        """Follow-mode hook for new threads, until their first call.
+
+        Registers the thread and replaces itself with a hook bound to
+        the new state, which then handles the call event.
+        """
         if event == "call":
-            if threading.get_ident() != self._owner:
-                return
-            self.events += 1
-            code = frame.f_code
-            code_filter = self._filter
-            index = code_filter.memo.get(id(code))
-            if index is None:
-                index = code_filter.classify(code, frame.f_globals)
-            if index >= 0:
-                try:
-                    payload = self._snap()
-                except OSError:
-                    self.buffer.append(
-                        (OP_OPEN, index, False, self._last_payload)
-                    )
-                else:
-                    self._last_payload = payload
-                    self.buffer.append((OP_OPEN, index, True, payload))
-                self._frames.append(id(frame))
-        elif event == "return":
-            if threading.get_ident() != self._owner:
-                return
-            self.events += 1
-            # Only frames we opened are on the id stack, so a plain
-            # tail check pairs returns with calls — unmatched returns
-            # (frames entered before start) fall through.
-            frames = self._frames
-            if frames and frames[-1] == id(frame):
-                frames.pop()
-                try:
-                    payload = self._snap()
-                except OSError:
-                    self.buffer.append(
-                        (OP_CLOSE, -1, False, self._last_payload)
-                    )
-                else:
-                    self._last_payload = payload
-                    self.buffer.append((OP_CLOSE, -1, True, payload))
+            state = self._register_thread(threading.current_thread())
+            hook = self._hook(state)
+            sys.setprofile(hook)
+            hook(frame, event, arg)
 
     def _count_dropped(self, frame, event: str, arg) -> None:
         """Stub installed in non-owner threads when *not* following.
@@ -407,58 +429,6 @@ class SetprofileRuntime(_RuntimeBase):
             self.dropped_events += 1
             self.dropped_thread_idents.add(threading.get_ident())
 
-    def _profile_mt(self, frame, event: str, arg) -> None:
-        """Follow-mode hook: same fast path, per-thread buffers.
-
-        Identical discipline to :meth:`_profile` except state lives in
-        the calling thread's :class:`_ThreadState` (registered on first
-        event) and OPEN events capture the owning asyncio Task.
-        """
-        if event == "call":
-            thread = threading.current_thread()
-            state = self._threads.get(id(thread))
-            if state is None:
-                state = self._register_thread(thread)
-            state.events += 1
-            code = frame.f_code
-            code_filter = self._filter
-            index = code_filter.memo.get(id(code))
-            if index is None:
-                index = code_filter.classify(code, frame.f_globals)
-            if index >= 0:
-                task = (
-                    self._task_index()
-                    if self._current_task is not None
-                    else -1
-                )
-                try:
-                    payload = self._snap()
-                except OSError:
-                    state.buffer.append(
-                        (OP_OPEN, index, False, state.last_payload, task)
-                    )
-                else:
-                    state.last_payload = payload
-                    state.buffer.append((OP_OPEN, index, True, payload, task))
-                state.opens.append(id(frame))
-        elif event == "return":
-            state = self._threads.get(id(threading.current_thread()))
-            if state is None:
-                return
-            state.events += 1
-            opens = state.opens
-            if opens and opens[-1] == id(frame):
-                opens.pop()
-                try:
-                    payload = self._snap()
-                except OSError:
-                    state.buffer.append(
-                        (OP_CLOSE, -1, False, state.last_payload, -1)
-                    )
-                else:
-                    state.last_payload = payload
-                    state.buffer.append((OP_CLOSE, -1, True, payload, -1))
-
 
 class MonitoringRuntime(_RuntimeBase):
     """PEP 669 ``sys.monitoring`` backend (Python ≥ 3.12).
@@ -467,6 +437,11 @@ class MonitoringRuntime(_RuntimeBase):
     non-traced code objects by returning ``DISABLE`` from their first
     event, so steady-state cost for code outside the profiled scope —
     and for *all* C calls, which have no registered event — is zero.
+
+    ``sys.monitoring`` is interpreter-global, so the callbacks fire on
+    every thread; each finds the calling thread's state through the
+    resolver chosen at install — owner-only with drop counting, or the
+    per-thread registry when following.
 
     Tool-id etiquette: tries ``PROFILER_ID`` first, then the unassigned
     ids, so it can coexist with a debugger or coverage tool; all
@@ -500,31 +475,16 @@ class MonitoringRuntime(_RuntimeBase):
                 f"{self._TOOL_IDS} all in use)"
             )
         self._disable = monitoring.DISABLE
-        self._opens: list[int] = []
+        self._state = self._per_thread if self._follow else self._owner_only
         events = monitoring.events
-        if self._follow:
-            # ``sys.monitoring`` is interpreter-global, so the same
-            # callbacks already fire on every thread — following is
-            # just routing each event to its thread's buffer instead
-            # of dropping non-owner ones.
-            self._register_thread(threading.current_thread())
-            self._registered = (
-                (events.PY_START, self._mt_start),
-                (events.PY_RESUME, self._mt_start),
-                (events.PY_THROW, self._mt_throw),
-                (events.PY_RETURN, self._mt_return),
-                (events.PY_YIELD, self._mt_return),
-                (events.PY_UNWIND, self._mt_unwind),
-            )
-        else:
-            self._registered = (
-                (events.PY_START, self._on_start),
-                (events.PY_RESUME, self._on_start),
-                (events.PY_THROW, self._on_throw),
-                (events.PY_RETURN, self._on_return),
-                (events.PY_YIELD, self._on_return),
-                (events.PY_UNWIND, self._on_unwind),
-            )
+        self._registered = (
+            (events.PY_START, self._on_start),
+            (events.PY_RESUME, self._on_start),
+            (events.PY_THROW, self._on_throw),
+            (events.PY_RETURN, self._on_return),
+            (events.PY_YIELD, self._on_return),
+            (events.PY_UNWIND, self._on_unwind),
+        )
         event_set = 0
         for event, callback in self._registered:
             monitoring.register_callback(self._tool_id, event, callback)
@@ -541,6 +501,29 @@ class MonitoringRuntime(_RuntimeBase):
         # (or another tool) sees a clean slate.
         monitoring.restart_events()
 
+    # -- state resolvers -----------------------------------------------
+
+    def _owner_only(self) -> _ThreadState | None:
+        """Guarded mode: the owner's state; other threads are dropped.
+
+        Foreign events get ``None`` back — never ``DISABLE``, which
+        would mute the location for the owner too.
+        """
+        ident = threading.get_ident()
+        if ident != self._owner:
+            self.dropped_events += 1
+            self.dropped_thread_idents.add(ident)
+            return None
+        return self.owner_state
+
+    def _per_thread(self) -> _ThreadState:
+        """Follow mode: the calling thread's state, registered on demand."""
+        thread = threading.current_thread()
+        state = self._threads.get(id(thread))
+        if state is None:
+            state = self._register_thread(thread)
+        return state
+
     # -- callbacks -----------------------------------------------------
 
     def _classify(self, code: CodeType) -> int:
@@ -551,100 +534,7 @@ class MonitoringRuntime(_RuntimeBase):
             index = self._filter.classify(code, sys._getframe(2).f_globals)
         return index
 
-    def _record(self, op: int, index: int) -> None:
-        try:
-            payload = self._snap()
-        except OSError:
-            self.buffer.append((op, index, False, self._last_payload))
-        else:
-            self._last_payload = payload
-            self.buffer.append((op, index, True, payload))
-
-    def _on_start(self, code: CodeType, offset: int):
-        """PY_START / PY_RESUME: open a call (or mute the location)."""
-        ident = threading.get_ident()
-        if ident != self._owner:
-            self.dropped_events += 1
-            self.dropped_thread_idents.add(ident)
-            return None
-        self.events += 1
-        index = self._filter.memo.get(id(code))
-        if index is None:
-            index = self._filter.classify(code, sys._getframe(1).f_globals)
-        if index < 0:
-            return self._disable
-        self._record(OP_OPEN, index)
-        self._opens.append(index)
-        return None
-
-    def _on_throw(self, code: CodeType, offset: int, exc):
-        """PY_THROW: a generator resumed via ``throw()`` — open a call.
-
-        Not a local event, so never returns ``DISABLE``.
-        """
-        ident = threading.get_ident()
-        if ident != self._owner:
-            self.dropped_events += 1
-            self.dropped_thread_idents.add(ident)
-            return None
-        self.events += 1
-        index = self._classify(code)
-        if index >= 0:
-            self._record(OP_OPEN, index)
-            self._opens.append(index)
-        return None
-
-    def _on_return(self, code: CodeType, offset: int, retval):
-        """PY_RETURN / PY_YIELD: close the matching open call."""
-        ident = threading.get_ident()
-        if ident != self._owner:
-            self.dropped_events += 1
-            self.dropped_thread_idents.add(ident)
-            return None
-        self.events += 1
-        index = self._classify(code)
-        if index < 0:
-            return self._disable
-        opens = self._opens
-        if opens and opens[-1] == index:
-            # Calls/returns nest per thread and non-traced code never
-            # lands on the open stack, so a tail match is exact; a
-            # mismatch means the frame entered before start() and is
-            # skipped (never DISABLEd — the location stays live for
-            # later legitimate returns).
-            opens.pop()
-            self._record(OP_CLOSE, -1)
-        return None
-
-    def _on_unwind(self, code: CodeType, offset: int, exc):
-        """PY_UNWIND: frame exited via exception — close the call.
-
-        Not a local event, so never returns ``DISABLE``.
-        """
-        ident = threading.get_ident()
-        if ident != self._owner:
-            self.dropped_events += 1
-            self.dropped_thread_idents.add(ident)
-            return None
-        self.events += 1
-        index = self._classify(code)
-        if index >= 0:
-            opens = self._opens
-            if opens and opens[-1] == index:
-                opens.pop()
-                self._record(OP_CLOSE, -1)
-        return None
-
-    # -- follow-mode callbacks (per-thread buffers) --------------------
-
-    def _state(self) -> _ThreadState:
-        thread = threading.current_thread()
-        state = self._threads.get(id(thread))
-        if state is None:
-            state = self._register_thread(thread)
-        return state
-
-    def _record_mt(
+    def _record(
         self, state: _ThreadState, op: int, index: int, task: int
     ) -> None:
         try:
@@ -655,14 +545,16 @@ class MonitoringRuntime(_RuntimeBase):
             state.last_payload = payload
             state.buffer.append((op, index, True, payload, task))
 
-    def _mt_start(self, code: CodeType, offset: int):
-        """PY_START / PY_RESUME on any thread: open in its buffer.
+    def _on_start(self, code: CodeType, offset: int):
+        """PY_START / PY_RESUME: open a call (or mute the location).
 
         Task identity is captured here — i.e. at *resume* for
         coroutines — so a span always bills to the Task actually
         driving it, and suspended coroutines bill nothing.
         """
         state = self._state()
+        if state is None:
+            return None
         state.events += 1
         index = self._filter.memo.get(id(code))
         if index is None:
@@ -670,46 +562,63 @@ class MonitoringRuntime(_RuntimeBase):
         if index < 0:
             return self._disable
         task = self._task_index() if self._current_task is not None else -1
-        self._record_mt(state, OP_OPEN, index, task)
+        self._record(state, OP_OPEN, index, task)
         state.opens.append(index)
         return None
 
-    def _mt_throw(self, code: CodeType, offset: int, exc):
-        """PY_THROW on any thread (never a local event → no DISABLE)."""
+    def _on_throw(self, code: CodeType, offset: int, exc):
+        """PY_THROW: a generator resumed via ``throw()`` — open a call.
+
+        Not a local event, so never returns ``DISABLE``.
+        """
         state = self._state()
+        if state is None:
+            return None
         state.events += 1
         index = self._classify(code)
         if index >= 0:
             task = (
                 self._task_index() if self._current_task is not None else -1
             )
-            self._record_mt(state, OP_OPEN, index, task)
+            self._record(state, OP_OPEN, index, task)
             state.opens.append(index)
         return None
 
-    def _mt_return(self, code: CodeType, offset: int, retval):
-        """PY_RETURN / PY_YIELD on any thread: close in its buffer."""
+    def _on_return(self, code: CodeType, offset: int, retval):
+        """PY_RETURN / PY_YIELD: close the matching open call."""
         state = self._state()
+        if state is None:
+            return None
         state.events += 1
         index = self._classify(code)
         if index < 0:
             return self._disable
         opens = state.opens
         if opens and opens[-1] == index:
+            # Calls/returns nest per thread and non-traced code never
+            # lands on the open stack, so a tail match is exact; a
+            # mismatch means the frame entered before start() and is
+            # skipped (never DISABLEd — the location stays live for
+            # later legitimate returns).
             opens.pop()
-            self._record_mt(state, OP_CLOSE, -1, -1)
+            self._record(state, OP_CLOSE, -1, -1)
         return None
 
-    def _mt_unwind(self, code: CodeType, offset: int, exc):
-        """PY_UNWIND on any thread (never a local event → no DISABLE)."""
+    def _on_unwind(self, code: CodeType, offset: int, exc):
+        """PY_UNWIND: frame exited via exception — close the call.
+
+        Not a local event, so never returns ``DISABLE``.
+        """
         state = self._state()
+        if state is None:
+            return None
         state.events += 1
         index = self._classify(code)
         if index >= 0:
             opens = state.opens
             if opens and opens[-1] == index:
                 opens.pop()
-                self._record_mt(state, OP_CLOSE, -1, -1)
+                self._record(state, OP_CLOSE, -1, -1)
         return None
 
 
@@ -747,6 +656,77 @@ def resolve_runtime(name: str) -> list[type[_RuntimeBase]]:
 # -- deferred materialization -----------------------------------------
 
 
+class _RecordBuilder:
+    """The one place a closed call becomes a :class:`MethodRecord`.
+
+    Shared by every replay: numbers each execution per method
+    (``call_index``, continuing ``counts`` across sessions), derives
+    exclusive energy from the call's accumulated children, and rolls
+    its inclusive energy up into the parent — the new top of the
+    thread's open-call stack.  Stack entries start with
+    ``[meta_index, start_snapshot, start_ok, children_joules, task]``.
+    """
+
+    __slots__ = ("records", "_metadata", "_counts", "_task_names")
+
+    def __init__(
+        self,
+        metadata: Sequence[tuple[str, str, int]],
+        counts: dict[str, int],
+        task_names: Sequence[str] = (),
+    ) -> None:
+        self.records: list[MethodRecord] = []
+        self._metadata = metadata
+        self._counts = counts
+        self._task_names = task_names
+
+    def close(
+        self,
+        entry: list,
+        delta: EnergySnapshot,
+        joules: dict,
+        cpu: float,
+        end_ok: bool,
+        stack: list[list],
+        state: _ThreadState | None = None,
+    ) -> None:
+        """Record ``entry``'s execution; ``joules`` is its inclusive energy.
+
+        ``state`` is the thread the call ran on; ``None`` (or the
+        owner's state) leaves the record's thread provenance empty.
+        """
+        children = entry[3]
+        task = entry[4]
+        exclusive = {
+            dom: joules.get(dom, 0.0) - children.get(dom, 0.0)
+            for dom in joules
+        }
+        method, filename, lineno = self._metadata[entry[0]]
+        call_index = self._counts.get(method, 0)
+        self._counts[method] = call_index + 1
+        foreign = state is not None and not state.is_owner
+        self.records.append(
+            MethodRecord(
+                method=method,
+                filename=filename,
+                lineno=lineno,
+                call_index=call_index,
+                wall_seconds=delta.wall_seconds,
+                cpu_seconds=cpu,
+                joules=joules,
+                exclusive_joules=exclusive,
+                suspect=not entry[2] or not end_ok or delta.suspect,
+                thread_id=state.ident if foreign else 0,
+                thread_name=state.name if foreign else "",
+                task_name=self._task_names[task] if task >= 0 else "",
+            )
+        )
+        if stack:
+            parent_children = stack[-1][3]
+            for dom, value in joules.items():
+                parent_children[dom] = parent_children.get(dom, 0.0) + value
+
+
 def materialize(
     buffer: Iterable[tuple],
     final_payload: object | None,
@@ -768,49 +748,26 @@ def materialize(
         [event[3] for event in events] + [final_payload]
     )
     final_snapshot = snapshots.pop()
-    records: list[MethodRecord] = []
-    # Open-call stack entries: [meta_index, snapshot, ok, children_joules].
+    builder = _RecordBuilder(metadata, counts)
+    # Open-call stack of _RecordBuilder entries; guarded mode follows
+    # no tasks.
     stack: list[list] = []
 
     def close(entry: list, end: EnergySnapshot, end_ok: bool) -> None:
-        index, start, start_ok, children = entry
-        delta = end.delta(start)
-        exclusive = {
-            dom: delta.joules.get(dom, 0.0) - children.get(dom, 0.0)
-            for dom in delta.joules
-        }
-        method, filename, lineno = metadata[index]
-        call_index = counts.get(method, 0)
-        counts[method] = call_index + 1
-        records.append(
-            MethodRecord(
-                method=method,
-                filename=filename,
-                lineno=lineno,
-                call_index=call_index,
-                wall_seconds=delta.wall_seconds,
-                cpu_seconds=delta.cpu_seconds,
-                joules=dict(delta.joules),
-                exclusive_joules=exclusive,
-                suspect=not start_ok or not end_ok or delta.suspect,
-            )
+        delta = end.delta(entry[1])
+        builder.close(
+            entry, delta, dict(delta.joules), delta.cpu_seconds, end_ok, stack
         )
-        if stack:
-            parent_children = stack[-1][3]
-            for dom, joules in delta.joules.items():
-                parent_children[dom] = (
-                    parent_children.get(dom, 0.0) + joules
-                )
 
     for event, snapshot in zip(events, snapshots):
         op, index, ok = event[0], event[1], event[2]
         if op == OP_OPEN:
-            stack.append([index, snapshot, ok, {}])
+            stack.append([index, snapshot, ok, {}, -1])
         elif stack:
             close(stack.pop(), snapshot, ok)
     while stack:
         close(stack.pop(), final_snapshot, final_ok)
-    return records
+    return builder.records
 
 
 def _payload_wall(payload: object, fallback: float) -> float:
@@ -939,7 +896,7 @@ def _replay_concurrent_pure(
     task_names: Sequence[str],
 ) -> ConcurrentReplay:
     """Steps 3–4 of the concurrent replay, pure-Python accumulators."""
-    records: list[MethodRecord] = []
+    builder = _RecordBuilder(metadata, counts, task_names)
     # 3. Slice-attribution accumulators.  ``total_*`` and each thread's
     # ``own_*`` see identical float additions when one thread runs, so
     # their differences cancel exactly (bit-exact sync parity).  Keyed
@@ -977,10 +934,9 @@ def _replay_concurrent_pure(
     def close(
         entry: list, end: EnergySnapshot, end_ok: bool, state: _ThreadState
     ) -> None:
-        index, start, start_ok, children, task = entry[:5]
         open_total, open_own, open_total_cpu, open_own_cpu = entry[5:]
         ident = id(state)
-        delta = end.delta(start)
+        delta = end.delta(entry[1])
         mine = own_joules[ident]
         inclusive = {}
         for dom, value in delta.joules.items():
@@ -1000,34 +956,9 @@ def _replay_concurrent_pure(
             cpu = cpu - cpu_foreign
             if cpu < 0.0:
                 cpu = 0.0
-        exclusive = {
-            dom: inclusive.get(dom, 0.0) - children.get(dom, 0.0)
-            for dom in inclusive
-        }
-        method, filename, lineno = metadata[index]
-        call_index = counts.get(method, 0)
-        counts[method] = call_index + 1
-        records.append(
-            MethodRecord(
-                method=method,
-                filename=filename,
-                lineno=lineno,
-                call_index=call_index,
-                wall_seconds=delta.wall_seconds,
-                cpu_seconds=cpu,
-                joules=inclusive,
-                exclusive_joules=exclusive,
-                suspect=not start_ok or not end_ok or delta.suspect,
-                thread_id=0 if state.is_owner else state.ident,
-                thread_name="" if state.is_owner else state.name,
-                task_name=task_names[task] if task >= 0 else "",
-            )
+        builder.close(
+            entry, delta, inclusive, cpu, end_ok, stacks[ident], state
         )
-        stack = stacks[ident]
-        if stack:
-            parent_children = stack[-1][3]
-            for dom, joules in inclusive.items():
-                parent_children[dom] = parent_children.get(dom, 0.0) + joules
 
     prev_snapshot: EnergySnapshot | None = None
     prev_ok = True
@@ -1074,7 +1005,7 @@ def _replay_concurrent_pure(
             close(stack.pop(), final_snapshot, final_ok, state)
 
     return ConcurrentReplay(
-        records=records,
+        records=builder.records,
         timeline_joules=total_joules,
         unattributed_joules=unattributed,
         timeline_cpu_seconds=total_cpu,
@@ -1187,54 +1118,14 @@ def _replay_concurrent_vector(
     per_thread_cpu[tidx, arange_n] = cg
     own_cpu_cum = np.cumsum(per_thread_cpu, axis=1)
 
-    records: list[MethodRecord] = []
+    builder = _RecordBuilder(metadata, counts, task_names)
     stacks: dict[int, list[list]] = {id(s): [] for s in states}
-
-    def emit(
-        index: int,
-        delta,
-        inclusive: dict,
-        children: dict,
-        cpu: float,
-        start_ok: bool,
-        end_ok: bool,
-        state: _ThreadState,
-        task: int,
-    ) -> None:
-        exclusive = {
-            dom: inclusive.get(dom, 0.0) - children.get(dom, 0.0)
-            for dom in inclusive
-        }
-        method, filename, lineno = metadata[index]
-        call_index = counts.get(method, 0)
-        counts[method] = call_index + 1
-        records.append(
-            MethodRecord(
-                method=method,
-                filename=filename,
-                lineno=lineno,
-                call_index=call_index,
-                wall_seconds=delta.wall_seconds,
-                cpu_seconds=cpu,
-                joules=inclusive,
-                exclusive_joules=exclusive,
-                suspect=not start_ok or not end_ok or delta.suspect,
-                thread_id=0 if state.is_owner else state.ident,
-                thread_name="" if state.is_owner else state.name,
-                task_name=task_names[task] if task >= 0 else "",
-            )
-        )
-        stack = stacks[id(state)]
-        if stack:
-            parent_children = stack[-1][3]
-            for dom, joules in inclusive.items():
-                parent_children[dom] = parent_children.get(dom, 0.0) + joules
 
     def close_at(entry: list, pos: int, end, end_ok: bool, state) -> None:
         """In-loop close: accumulator values read by event position."""
-        index, start, start_ok, children, task, pos_open = entry
+        pos_open = entry[5]
         t = state_pos[id(state)]
-        delta = end.delta(start)
+        delta = end.delta(entry[1])
         inclusive = {}
         for dom, value in delta.joules.items():
             tc = total_cum.get(dom)
@@ -1257,9 +1148,8 @@ def _replay_concurrent_vector(
             cpu = cpu - cpu_foreign
             if cpu < 0.0:
                 cpu = 0.0
-        emit(
-            index, delta, inclusive, children, cpu, start_ok, end_ok,
-            state, task,
+        builder.close(
+            entry, delta, inclusive, cpu, end_ok, stacks[id(state)], state
         )
 
     for pos, (_wall, _seq, state, event) in enumerate(tagged):
@@ -1318,10 +1208,10 @@ def _replay_concurrent_vector(
 
     def close_final(entry: list, state: _ThreadState) -> None:
         """Post-loop close against the final reading (post-tail sums)."""
-        index, start, start_ok, children, task, pos_open = entry
+        pos_open = entry[5]
         t = state_pos[id(state)]
         mine = own_now[t]
-        delta = final_snapshot.delta(start)
+        delta = final_snapshot.delta(entry[1])
         inclusive = {}
         for dom, value in delta.joules.items():
             tc = total_cum.get(dom)
@@ -1345,9 +1235,8 @@ def _replay_concurrent_vector(
             cpu = cpu - cpu_foreign
             if cpu < 0.0:
                 cpu = 0.0
-        emit(
-            index, delta, inclusive, children, cpu, start_ok, final_ok,
-            state, task,
+        builder.close(
+            entry, delta, inclusive, cpu, final_ok, stacks[id(state)], state
         )
 
     # Calls still open when tracing stopped close against the final
@@ -1358,7 +1247,7 @@ def _replay_concurrent_vector(
             close_final(stack.pop(), state)
 
     return ConcurrentReplay(
-        records=records,
+        records=builder.records,
         timeline_joules=total_now,
         unattributed_joules=unattr_now,
         timeline_cpu_seconds=total_cpu_now,

@@ -16,6 +16,11 @@ Two hook implementations sit behind one :class:`EnergyTracer` API (see
   filter memoization and deferred record materialization so the hook
   does minimal work per event.
 
+Each runtime has one set of event handlers.  They always append
+``(op, index, ok, payload, task)`` tuples to the calling thread's
+buffer; ``follow_threads`` only decides which threads get one (the
+owner alone, or every thread).
+
 ``runtime="auto"`` (default) picks the best available one.  The
 original, unoptimized hook survives as :class:`LegacyEnergyTracer` —
 the baseline that ``pepo bench overhead`` measures against.
@@ -118,7 +123,7 @@ def _calibrate(
             tracer = make_tracer(predicate)
             tracer.start()
             elapsed = loop()
-            events = tracer._impl.events
+            events = tracer._impl.owner_state.events
             tracer.stop()
             if events:
                 best = min(best, (elapsed - plain) / events)
@@ -160,6 +165,9 @@ class EnergyTracer:
         are not recorded individually — each would otherwise surface as
         one record per element, swamping the profile and the run time;
         their energy still lands in the enclosing function's record.
+        On Python ≥ 3.12 list, dict and set comprehensions are inlined
+        (PEP 709) and have no frame of their own, so only generator
+        expressions are affected there.
     runtime:
         ``"auto"`` (default) uses ``sys.monitoring`` when the
         interpreter provides it (Python ≥ 3.12) and falls back to
@@ -308,12 +316,13 @@ class EnergyTracer:
         impl.uninstall()
         self._active = False
         # One final reading closes any calls left open (e.g. the
-        # function stop() was called from) so their energy is not lost.
+        # function stop() was called from) so their energy is not lost;
+        # if it fails, the owner's last good reading stands in.
         try:
             final_payload: object | None = self._snap()
             final_ok = True
         except OSError:
-            final_payload = impl._last_payload
+            final_payload = impl.owner_state.last_payload
             final_ok = False
         converter = snapshot_converter(self.backend, self._raw_mode)
         if self._follow_threads:
@@ -337,7 +346,7 @@ class EnergyTracer:
                 )
         else:
             records = materialize(
-                impl.buffer,
+                impl.owner_state.buffer,
                 final_payload,
                 final_ok,
                 self._filter.metadata,

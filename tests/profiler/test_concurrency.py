@@ -267,6 +267,83 @@ class TestSingleThreadedParity:
         self._run(runtime, follow=True).write_result_txt(path_b)
         assert path_a.read_bytes() == path_b.read_bytes()
 
+    def test_event_counts_identical(self, runtime):
+        # Per-thread registration must not change the overhead estimate's
+        # event count (``# overhead events=`` in result.txt).
+        counts = []
+        for follow in (False, True):
+            backend = _virtual_backend()
+            top = _parity_workload(backend.clock)
+            tracer = EnergyTracer(
+                backend,
+                predicate=_predicate,
+                runtime=runtime,
+                follow_threads=follow,
+            )
+            # Capture the (event_count(), recorded_count()) pair stop()
+            # prices, after the hooks are gone and before the buffers
+            # are cleared.
+            tracer._overhead_estimate = (
+                lambda events, recorded, records: counts.append(
+                    (events, recorded)
+                )
+            )
+            with tracer:
+                top()
+        assert counts[0] == counts[1]
+        assert counts[0][1] > 0
+
+
+# -- failed final reading ---------------------------------------------------
+
+
+class _FailingBackend(SimulatedBackend):
+    """Simulated backend whose reads raise ``OSError`` once ``failing``."""
+
+    failing = False
+
+    def snapshot(self):
+        if self.failing:
+            raise OSError("energy counter unreadable")
+        return super().snapshot()
+
+    def snapshot_raw(self):
+        if self.failing:
+            raise OSError("energy counter unreadable")
+        return super().snapshot_raw()
+
+
+@pytest.mark.parametrize("follow", [False, True])
+@pytest.mark.parametrize("runtime", RUNTIMES)
+class TestFailedFinalRead:
+    def _run(self, runtime: str, follow: bool) -> list:
+        backend = _FailingBackend(clock=VirtualClock())
+        clock = backend.clock
+        tracer = _tracer(runtime, backend, follow_threads=follow)
+
+        def leaf():
+            clock.advance(0.25)
+
+        def open_traced():
+            leaf()
+            # Only stop()'s final reading fails; leaf's return was the
+            # last good one.
+            backend.failing = True
+            tracer.stop()
+
+        clock.advance(5.0)
+        tracer.start()
+        open_traced()
+        return list(tracer.result)
+
+    def test_open_call_closes_against_last_good_reading(self, runtime, follow):
+        records = self._run(runtime, follow)
+        still_open = [r for r in records if "open_traced" in r.method]
+        assert len(still_open) == 1
+        assert still_open[0].wall_seconds >= 0.0
+        assert still_open[0].suspect
+        assert records == self._run(runtime, follow=False)
+
 
 # -- suspend/resume pairing edge cases (satellite 3) -----------------------
 

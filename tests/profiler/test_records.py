@@ -90,6 +90,14 @@ class TestProfileResult:
         ]
         result = ProfileResult(records)
 
+        def in_order(values):
+            # The aggregate adds in input order.  Builtin sum() is not a
+            # reference: it compensates float rounding on Python >= 3.12.
+            total = 0.0
+            for value in values:
+                total += value
+            return total
+
         buckets: dict[str, list[MethodRecord]] = {}
         for r in records:
             buckets.setdefault(r.method, []).append(r)
@@ -98,11 +106,11 @@ class TestProfileResult:
                 MethodAggregate(
                     method=method,
                     calls=len(rs),
-                    wall_seconds=sum(r.wall_seconds for r in rs),
-                    cpu_seconds=sum(r.cpu_seconds for r in rs),
-                    package_joules=sum(r.package_joules for r in rs),
-                    core_joules=sum(r.core_joules for r in rs),
-                    exclusive_package_joules=sum(
+                    wall_seconds=in_order(r.wall_seconds for r in rs),
+                    cpu_seconds=in_order(r.cpu_seconds for r in rs),
+                    package_joules=in_order(r.package_joules for r in rs),
+                    core_joules=in_order(r.core_joules for r in rs),
+                    exclusive_package_joules=in_order(
                         r.exclusive_joules.get(Domain.PACKAGE, 0.0)
                         for r in rs
                     ),

@@ -296,10 +296,10 @@ class TestDeferredMaterialization:
         tracer.start()
         top()
         # Mid-run: events recorded, but no MethodRecord exists yet.
-        assert len(tracer._impl.buffer) > 0
+        assert len(tracer._impl.owner_state.buffer) > 0
         assert len(tracer.result) == 0
         tracer.stop()
-        assert len(tracer._impl.buffer) == 0
+        assert len(tracer._impl.owner_state.buffer) == 0
         assert len(tracer.result) > 0
 
     def test_exclusive_energy_survives_deferral(self):
