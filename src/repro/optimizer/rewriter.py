@@ -56,6 +56,13 @@ class Optimizer:
     that the loop swap needs), so the transform pipeline re-runs until
     quiescent or the bound is hit.
 
+    Each expensive step runs only when a cheap syntactic check says it
+    can matter: the re.compile hoist builds its semantic model only
+    when a loop body holds a candidate (still from the pristine tree,
+    before any rewrite), a transform fixes up locations only after
+    recording a change, and the unfixable re-analysis runs only the
+    detectors whose rule has no transform.
+
     Parameters
     ----------
     transforms:
@@ -67,8 +74,9 @@ class Optimizer:
         coverage used for ``unfixable``; the process-wide
         :data:`repro.rules.REGISTRY` when omitted.
     report_unfixable:
-        Re-analyze the optimized source and attach findings whose rule
-        has no transform (default True; disable for raw rewrite speed).
+        Re-analyze the optimized source with the detectors whose rule
+        has no transform and attach their findings (default True;
+        disable for raw rewrite speed).
     """
 
     def __init__(
@@ -126,12 +134,12 @@ class Optimizer:
             return ()
         from repro.analyzer.engine import Analyzer
 
-        findings = Analyzer(registry=self._registry).analyze_source(
-            optimized, filename=filename
+        analyzer = Analyzer(
+            rules=unfixable_detectors(
+                self._registry.detector_classes(), fixable_rule_ids(self._registry)
+            )
         )
-        return tuple(
-            f for f in findings if not self._registry.has_transform(f.rule_id)
-        )
+        return tuple(analyzer.analyze_source(optimized, filename=filename))
 
     def optimize_file(self, path: str | Path, write: bool = False) -> OptimizationResult:
         """Optimize a file; ``write=True`` rewrites it in place."""
@@ -194,11 +202,7 @@ class Optimizer:
         return OptimizeJob(
             transform_classes=self._transform_classes,
             detector_classes=self._registry.detector_classes(),
-            fixable_rule_ids=frozenset(
-                spec.rule_id
-                for spec in self._registry
-                if spec.transform is not None
-            ),
+            fixable_rule_ids=fixable_rule_ids(self._registry),
             max_passes=self._max_passes,
             report_unfixable=self._report_unfixable,
             registry_fingerprint=self._registry.fingerprint(),
@@ -207,6 +211,24 @@ class Optimizer:
     def total_changes(self, results: dict[str, OptimizationResult]) -> int:
         """Project-wide applied-change count (Table IV "Changes")."""
         return sum(len(r.changes) for r in results.values())
+
+
+def fixable_rule_ids(registry) -> frozenset[str]:
+    """Ids of the rules in ``registry`` that ship a transform."""
+    return frozenset(spec.rule_id for spec in registry if spec.transform is not None)
+
+
+def unfixable_detectors(
+    detector_classes: Sequence[type], fixable: frozenset[str]
+) -> tuple[type, ...]:
+    """The detectors whose findings can be "detected but not auto-fixable".
+
+    Rules are independent (per-rule triggers, per-finding suppression,
+    sorted output), so analyzing with only these detectors yields
+    exactly the findings that running every detector and dropping the
+    fixable rules' findings would.
+    """
+    return tuple(cls for cls in detector_classes if cls.rule_id not in fixable)
 
 
 def optimize_source(source: str, filename: str = "<source>") -> OptimizationResult:

@@ -30,7 +30,8 @@ class ArrayCopyTransform(Transform):
             stmt, description = replacement
             body[index] = ast.copy_location(stmt, loop)
             changes.append(self._change(loop, description))
-        ast.fix_missing_locations(tree)
+        if changes:
+            ast.fix_missing_locations(tree)
         return tree, changes
 
     @staticmethod

@@ -49,7 +49,8 @@ class GlobalHoistTransform(Transform):
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             self._hoist_in_function(func, module_names, changes, semantics)
-        ast.fix_missing_locations(tree)
+        if changes:
+            ast.fix_missing_locations(tree)
         return tree, changes
 
     def _hoist_in_function(

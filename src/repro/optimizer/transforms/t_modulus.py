@@ -32,7 +32,8 @@ class ModulusToBitmask(Transform):
         changes: list[AppliedChange] = []
         rewriter = _Rewriter(changes, self._change)
         tree = rewriter.visit(tree)
-        ast.fix_missing_locations(tree)
+        if changes:
+            ast.fix_missing_locations(tree)
         return tree, changes
 
 

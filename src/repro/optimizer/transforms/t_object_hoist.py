@@ -7,6 +7,10 @@ depend on the iteration), and — via reaching definitions — no read of
 the name inside the loop can observe a value from *before* the
 assignment: a first-iteration read of an outer binding (or of nothing,
 a NameError) would see the hoisted value instead.
+
+The reaching-definitions model is built only for a module where some
+loop body holds a syntactic candidate, and then from the pristine tree
+before any statement moves.
 """
 
 from __future__ import annotations
@@ -25,16 +29,26 @@ class RecompileHoistTransform(Transform):
 
     def apply(self, tree: ast.Module) -> tuple[ast.Module, list[AppliedChange]]:
         changes: list[AppliedChange] = []
-        # Flow units must be built from the pristine tree: _extract
-        # mutates bodies as it goes, and a CFG first materialized after
-        # a pop would describe the half-rewritten function.
-        semantics = build_semantic_model(tree)
-        semantics.materialize()
         # Process high indices first so inserts never invalidate the
         # collected positions of other loops in the same body.
         sites = sorted(
             in_loop_statements(tree), key=lambda site: site[2], reverse=True
         )
+        # Only a syntactic candidate can lead to a hoist (a hoist can
+        # expose a new one in an enclosing loop, but only after a first
+        # hoist), so files without one never pay for a semantic model.
+        if not any(
+            self._hoistable(stmt)
+            for loop, _body, _index in sites
+            for body in self._direct_bodies(loop)
+            for stmt in body
+        ):
+            return tree, changes
+        # Flow units must be built from the pristine tree: _extract
+        # mutates bodies as it goes, and a CFG first materialized after
+        # a pop would describe the half-rewritten function.
+        semantics = build_semantic_model(tree)
+        semantics.materialize()
         for loop, parent_body, loop_index in sites:
             moved = self._extract(loop, semantics)
             for stmt in reversed(moved):
@@ -46,7 +60,8 @@ class RecompileHoistTransform(Transform):
                         "out of the loop",
                     )
                 )
-        ast.fix_missing_locations(tree)
+        if changes:
+            ast.fix_missing_locations(tree)
         return tree, changes
 
     def _extract(self, loop, semantics) -> list[ast.stmt]:

@@ -39,6 +39,15 @@ class RangeLenToEnumerate(Transform):
 
     def apply(self, tree: ast.Module) -> tuple[ast.Module, list[AppliedChange]]:
         changes: list[AppliedChange] = []
+        # A loop can start to match mid-walk (rewriting the outer loop
+        # turns ``len(grid[i])`` into ``len(grid_item)``), but only after
+        # a loop that already matched, so a module without one needs
+        # neither whole-tree scan.
+        if not any(
+            isinstance(node, ast.For) and range_len_sequence(node.iter) is not None
+            for node in ast.walk(tree)
+        ):
+            return tree, changes
         if _name_is_bound(tree, "enumerate"):
             return tree, changes
         taken = _all_identifiers(tree)
@@ -50,7 +59,8 @@ class RangeLenToEnumerate(Transform):
                 for stmt in body:
                     if isinstance(stmt, ast.For):
                         self._try_rewrite(stmt, taken, changes)
-        ast.fix_missing_locations(tree)
+        if changes:
+            ast.fix_missing_locations(tree)
         return tree, changes
 
     def _try_rewrite(

@@ -24,7 +24,8 @@ class FindToInTransform(Transform):
     def apply(self, tree: ast.Module) -> tuple[ast.Module, list[AppliedChange]]:
         changes: list[AppliedChange] = []
         tree = _Rewriter(changes, self._change).visit(tree)
-        ast.fix_missing_locations(tree)
+        if changes:
+            ast.fix_missing_locations(tree)
         return tree, changes
 
 

@@ -67,7 +67,8 @@ class StringBuilderTransform(Transform):
                     f"accumulate {name!r} via {parts_name}.append + ''.join",
                 )
             )
-        ast.fix_missing_locations(tree)
+        if changes:
+            ast.fix_missing_locations(tree)
         return tree, changes
 
     def _match(self, loop, body, index):

@@ -27,7 +27,8 @@ class TernaryToIfTransform(Transform):
     def apply(self, tree: ast.Module) -> tuple[ast.Module, list[AppliedChange]]:
         changes: list[AppliedChange] = []
         self._walk(tree, in_loop=False, changes=changes)
-        ast.fix_missing_locations(tree)
+        if changes:
+            ast.fix_missing_locations(tree)
         return tree, changes
 
     def _walk(self, node: ast.AST, in_loop: bool, changes) -> None:

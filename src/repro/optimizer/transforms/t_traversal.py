@@ -50,7 +50,8 @@ class LoopSwapTransform(Transform):
                     f"{inner_var!r}, inner iterates {outer_var!r}",
                 )
             )
-        ast.fix_missing_locations(tree)
+        if changes:
+            ast.fix_missing_locations(tree)
         return tree, changes
 
     @staticmethod

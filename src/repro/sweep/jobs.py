@@ -217,7 +217,7 @@ class OptimizeJob(SweepJob):
 
     def build(self) -> object:
         from repro.analyzer.engine import Analyzer
-        from repro.optimizer.rewriter import Optimizer
+        from repro.optimizer.rewriter import Optimizer, unfixable_detectors
 
         optimizer = Optimizer(
             transforms=self.transform_classes,
@@ -225,7 +225,11 @@ class OptimizeJob(SweepJob):
             report_unfixable=False,
         )
         analyzer = (
-            Analyzer(rules=self.detector_classes)
+            Analyzer(
+                rules=unfixable_detectors(
+                    self.detector_classes, self.fixable_rule_ids
+                )
+            )
             if self.report_unfixable
             else None
         )
@@ -242,7 +246,6 @@ class OptimizeJob(SweepJob):
             unfixable = [
                 encode_finding_compact(f)
                 for f in analyzer.analyze_source(result.optimized, filename=path)
-                if f.rule_id not in self.fixable_rule_ids
             ]
         return {
             "original": result.original,
