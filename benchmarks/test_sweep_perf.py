@@ -15,11 +15,8 @@ import time
 import pytest
 
 from repro.analyzer import Analyzer
-from repro.bench.sweep import (
-    render_sweep_bench,
-    run_sweep_bench,
-    write_sweep_bench,
-)
+from repro.bench.harness import write_bench_json
+from repro.bench.sweep import render_sweep_bench, run_sweep_bench
 from repro.sweep import SweepEngine
 
 N_FILES = 24
@@ -98,7 +95,7 @@ def test_bench_harness_writes_json(synthetic_project, tmp_path):
     }
     assert result.speedups()["cache_warm"] > 1.0
 
-    output = write_sweep_bench(result, tmp_path / "BENCH_sweep.json")
+    output = write_bench_json(result, tmp_path / "BENCH_sweep.json")
     data = json.loads(output.read_text(encoding="utf-8"))
     assert data["bench"] == "sweep"
     assert data["deterministic"] is True
@@ -107,4 +104,7 @@ def test_bench_harness_writes_json(synthetic_project, tmp_path):
 
     rendered = render_sweep_bench(result)
     assert "cache_warm" in rendered
-    assert "identical to serial" in rendered
+    assert (
+        "parallel + cached + pre-filtered output identical to the "
+        "reference serial baseline"
+    ) in rendered

@@ -1,20 +1,39 @@
-"""Command-line experiment runner: ``python -m repro.bench <target>``."""
+"""Command-line experiment runner: ``python -m repro.bench <target>``.
+
+``pepo bench`` is the same command: it builds its subparser with
+:func:`add_arguments` and dispatches through :func:`run`.
+"""
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 
 # The table/figure modules pull in numpy via the datasets package;
-# import them per-target inside main() so numpy-free targets (sweep,
-# overhead) work on a bare interpreter.
+# import them per-target inside run() so numpy-free targets (sweep,
+# overhead, chaos) work on a bare interpreter.
+
+#: Perf bench target -> the ``run_<target>_bench`` keyword arguments
+#: its flags set.  Each ``repro.bench.<target>`` module exposes
+#: ``run_<target>_bench``, ``render_<target>_bench`` and
+#: ``DEFAULT_OUTPUT``; every result exposes ``to_dict()`` and
+#: ``meets_target()`` (see :mod:`repro.bench.harness`).
+_PERF_BENCHES = {
+    "sweep": lambda args: {"project_dir": args.project, "jobs": args.jobs},
+    "overhead": lambda args: {"quick": args.quick},
+    "ingest": lambda args: {"records": args.records, "quick": args.quick},
+    "semantics": lambda args: {
+        "project_dir": args.project,
+        "quick": args.quick,
+    },
+    "chaos": lambda args: {"jobs": args.jobs},
+}
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench",
-        description="Regenerate the paper's tables and figures.",
-    )
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """The bench flags, shared by ``python -m repro.bench`` and
+    ``pepo bench``."""
     parser.add_argument(
         "target",
         choices=["table1", "table2", "table3", "table4", "figures", "sweep",
@@ -45,18 +64,20 @@ def main(argv: list[str] | None = None) -> int:
         "--jobs",
         type=int,
         default=2,
-        help="sweep: worker processes for the parallel configuration",
+        help="sweep: worker processes for the parallel configuration; "
+        "chaos: worker processes for the hostile sweep",
     )
     parser.add_argument(
         "--project",
         default=None,
-        help="sweep: project directory to sweep (default: repro's own "
-        "source tree)",
+        help="sweep/semantics: project directory to measure (default: "
+        "repro's own source tree)",
     )
     parser.add_argument(
         "--output",
         default=None,
-        help="sweep/overhead: where to write the BENCH_*.json result",
+        help="sweep/overhead/ingest/semantics/chaos: where to write the "
+        "BENCH_*.json result",
     )
     parser.add_argument(
         "--check",
@@ -65,8 +86,11 @@ def main(argv: list[str] | None = None) -> int:
         "to the reference serial baseline AND the cold parallel sweep "
         "beats it by the gated speedup; overhead: exit 1 unless the new "
         "runtime's per-call overhead is within the legacy tracer's; "
-        "semantics: exit 1 unless the flow-fact layer stays within its "
-        "ms-per-KLoC budget (CI smoke assertions)",
+        "ingest: exit 1 unless the vectorized aggregates are bit-exact "
+        "and clear the speedup target; semantics: exit 1 unless the "
+        "flow-fact layer stays within its ms-per-KLoC budget; chaos: "
+        "exit 1 unless every fault-tolerance criterion holds (CI smoke "
+        "assertions)",
     )
     parser.add_argument(
         "--profile",
@@ -87,7 +111,11 @@ def main(argv: list[str] | None = None) -> int:
         help="ingest: synthetic record count (default 1M; --quick uses "
         "150k regardless)",
     )
-    args = parser.parse_args(argv)
+
+
+def run(args: argparse.Namespace) -> int:
+    """Run the parsed bench command; 1 when a ``--check`` gate fails."""
+    from repro.bench.harness import write_bench_json
 
     targets = (
         ["table1", "table2", "table3", "table4", "figures"]
@@ -133,96 +161,36 @@ def main(argv: list[str] | None = None) -> int:
             for name, text in run_figures().items():
                 print(f"===== {name} =====")
                 print(text)
-        elif target == "sweep":
-            from repro.bench.sweep import (
-                DEFAULT_OUTPUT,
-                profile_sweep_bench,
-                render_sweep_bench,
-                run_sweep_bench,
-                write_sweep_bench,
-                write_sweep_profile,
+        else:
+            module = importlib.import_module(f"repro.bench.{target}")
+            result = getattr(module, f"run_{target}_bench")(
+                **_PERF_BENCHES[target](args)
             )
-
-            result = run_sweep_bench(project_dir=args.project, jobs=args.jobs)
-            print(render_sweep_bench(result))
-            output = write_sweep_bench(result, args.output or DEFAULT_OUTPUT)
+            print(getattr(module, f"render_{target}_bench")(result))
+            output = write_bench_json(
+                result, args.output or module.DEFAULT_OUTPUT
+            )
+            if target == "chaos":
+                module.write_quarantine_report(result, output)
             print(f"wrote {output}")
-            if args.profile:
-                report = profile_sweep_bench(
+            if target == "sweep" and args.profile:
+                report = module.profile_sweep_bench(
                     project_dir=args.project, jobs=args.jobs
                 )
-                profile_path = write_sweep_profile(report)
-                print(f"wrote {profile_path}")
+                print(f"wrote {module.write_sweep_profile(report)}")
             if args.check and not result.meets_target():
-                return 1
-        elif target == "overhead":
-            from repro.bench.overhead import (
-                DEFAULT_OUTPUT as OVERHEAD_OUTPUT,
-                render_overhead_bench,
-                run_overhead_bench,
-                write_overhead_bench,
-            )
-
-            result = run_overhead_bench(quick=args.quick)
-            print(render_overhead_bench(result))
-            output = write_overhead_bench(
-                result, args.output or OVERHEAD_OUTPUT
-            )
-            print(f"wrote {output}")
-            if args.check and not result.meets_target():
-                return 1
-        elif target == "ingest":
-            from repro.bench.ingest import (
-                DEFAULT_OUTPUT as INGEST_OUTPUT,
-                render_ingest_bench,
-                run_ingest_bench,
-                write_ingest_bench,
-            )
-
-            result = run_ingest_bench(
-                records=args.records, quick=args.quick
-            )
-            print(render_ingest_bench(result))
-            output = write_ingest_bench(
-                result, args.output or INGEST_OUTPUT
-            )
-            print(f"wrote {output}")
-            if args.check and not result.meets_target():
-                return 1
-        elif target == "semantics":
-            from repro.bench.semantics import (
-                DEFAULT_OUTPUT as SEMANTICS_OUTPUT,
-                render_semantics_bench,
-                run_semantics_bench,
-                write_semantics_bench,
-            )
-
-            result = run_semantics_bench(
-                project_dir=args.project, quick=args.quick
-            )
-            print(render_semantics_bench(result))
-            output = write_semantics_bench(
-                result, args.output or SEMANTICS_OUTPUT
-            )
-            print(f"wrote {output}")
-            if args.check and not result.meets_target():
-                return 1
-        elif target == "chaos":
-            from repro.bench.chaos import (
-                DEFAULT_OUTPUT as CHAOS_OUTPUT,
-                render_chaos_bench,
-                run_chaos_bench,
-                write_chaos_bench,
-            )
-
-            result = run_chaos_bench(jobs=args.jobs)
-            print(render_chaos_bench(result))
-            output = write_chaos_bench(result, args.output or CHAOS_OUTPUT)
-            print(f"wrote {output}")
-            if args.check and not result.passed():
                 return 1
         print()
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.bench",
+        description="Regenerate the paper's tables and figures.",
+    )
+    add_arguments(parser)
+    return run(parser.parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -61,7 +61,7 @@ class ChaosBenchResult:
     #: artifact); ``None`` only for hand-built results in tests.
     report: "object | None" = None
 
-    def passed(self) -> bool:
+    def meets_target(self) -> bool:
         return all(self.checks.values())
 
     def to_dict(self) -> dict:
@@ -73,7 +73,7 @@ class ChaosBenchResult:
             "checks": self.checks,
             "stats": self.stats,
             "elapsed_s": round(self.elapsed_s, 3),
-            "passed": self.passed(),
+            "passed": self.meets_target(),
         }
 
 
@@ -238,7 +238,7 @@ def render_chaos_bench(result: ChaosBenchResult) -> str:
     roster = ", ".join(
         f"{name} ({reason})" for name, reason in sorted(result.quarantined.items())
     ) or "none"
-    verdict = "PASS" if result.passed() else "FAIL"
+    verdict = "PASS" if result.meets_target() else "FAIL"
     return (
         f"{table}\n"
         f"quarantined: {roster}\n"
@@ -249,18 +249,12 @@ def render_chaos_bench(result: ChaosBenchResult) -> str:
     )
 
 
-def write_chaos_bench(
-    result: ChaosBenchResult, output: str | Path = DEFAULT_OUTPUT
-) -> Path:
-    """Write ``BENCH_chaos.json`` plus the full quarantine report
-    (``<output stem>_quarantine.json``) — the corpus lives in a temp
-    dir, so the report must be exported to survive as a CI artifact."""
-    output = Path(output)
-    output.write_text(
-        json.dumps(result.to_dict(), indent=2) + "\n", encoding="utf-8"
-    )
+def write_quarantine_report(
+    result: ChaosBenchResult, output: str | Path
+) -> None:
+    """Export the full quarantine report next to the bench JSON, as
+    ``<output stem>_quarantine.json``: the corpus lives in a temp dir,
+    so the report must be exported to survive as a CI artifact."""
     if result.report is not None:
-        result.report.save(
-            output.with_name(f"{output.stem}_quarantine.json")
-        )
-    return output
+        output = Path(output)
+        result.report.save(output.with_name(f"{output.stem}_quarantine.json"))

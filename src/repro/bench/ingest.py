@@ -23,14 +23,13 @@ the bench fails rather than report a fast wrong answer.  Results go to
 
 from __future__ import annotations
 
-import json
 import platform
 import random
 import tempfile
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.bench.harness import best_of
 from repro.views.tables import render_table
 
 #: Default output path, relative to the working directory.
@@ -139,21 +138,10 @@ def run_ingest_bench(
     n = 150_000 if quick else records
     data = _synthetic_records(n)
 
-    start = time.perf_counter()
-    pure = aggregate_records_pure(data)
-    pure_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    cols = build_columns(data, np=np)
-    build_s = time.perf_counter() - start
+    pure_s, pure = best_of(1, lambda: aggregate_records_pure(data))
+    build_s, cols = best_of(1, lambda: build_columns(data, np=np))
     assert cols is not None, "ingest bench requires numpy"
-
-    vector_s = float("inf")
-    vector = None
-    for _ in range(3):
-        start = time.perf_counter()
-        vector = aggregate_columns(cols, np=np)
-        vector_s = min(vector_s, time.perf_counter() - start)
+    vector_s, vector = best_of(3, lambda: aggregate_columns(cols, np=np))
 
     parity_ok = vector == pure
 
@@ -163,9 +151,7 @@ def run_ingest_bench(
         txt = Path(tmp) / "result.txt"
         result.write_result_txt(txt)
         store = RunStore(Path(tmp) / "store")
-        start = time.perf_counter()
-        info = store.ingest_result_txt(txt)
-        ingest_s = time.perf_counter() - start
+        ingest_s, info = best_of(1, lambda: store.ingest_result_txt(txt))
         segment_bytes = (
             (store.segments_dir / info.segment).stat().st_size
         )
@@ -210,13 +196,3 @@ def render_ingest_bench(result: IngestBenchResult) -> str:
     if not result.meets_target():
         verdict = "INGEST BENCH FAILED: " + verdict
     return f"{table}\n{verdict}"
-
-
-def write_ingest_bench(
-    result: IngestBenchResult, output: str | Path = DEFAULT_OUTPUT
-) -> Path:
-    output = Path(output)
-    output.write_text(
-        json.dumps(result.to_dict(), indent=2) + "\n", encoding="utf-8"
-    )
-    return output

@@ -44,12 +44,11 @@ filters, which scale with the task count rather than hook cost.
 
 from __future__ import annotations
 
-import json
 import platform
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.bench.harness import best_of
 from repro.views.tables import render_table
 
 #: Default output path, relative to the working directory.
@@ -316,15 +315,6 @@ def _follow_tracer_factories() -> dict[str, object]:
     return factories
 
 
-def _best_of(repeats: int, run) -> float:
-    best = float("inf")
-    for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        run()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def run_overhead_bench(
     quick: bool = False, calls: int | None = None, repeats: int | None = None
 ) -> OverheadBenchResult:
@@ -335,42 +325,32 @@ def run_overhead_bench(
 
     baseline_s: dict[str, float] = {}
     overhead: dict[str, dict[str, float]] = {}
+
+    def measure(name: str, workload, tracers: dict, hot_calls: int) -> None:
+        baseline_s[name], _ = best_of(reps, lambda: workload(n))
+        overhead[name] = {}
+        for config, make_tracer in tracers.items():
+
+            def traced() -> None:
+                tracer = make_tracer()
+                tracer.start()
+                try:
+                    workload(n)
+                finally:
+                    tracer.stop()
+
+            total, _ = best_of(reps, traced)
+            overhead[name][config] = max(
+                0.0, (total - baseline_s[name]) / hot_calls
+            )
+
     for name, workload in WORKLOADS.items():
         workload(n)  # warm the code paths once
-        baseline = _best_of(reps, lambda: workload(n))
-        baseline_s[name] = baseline
-        overhead[name] = {}
-        for config, make_tracer in factories.items():
-
-            def traced() -> None:
-                tracer = make_tracer()
-                tracer.start()
-                try:
-                    workload(n)
-                finally:
-                    tracer.stop()
-
-            total = _best_of(reps, traced)
-            overhead[name][config] = max(0.0, (total - baseline) / n)
-
+        measure(name, workload, factories, n)
     follow_factories = _follow_tracer_factories()
     for name, workload in CONCURRENT_WORKLOADS.items():
-        calls_done = workload(n)  # warm the code paths once
-        baseline = _best_of(reps, lambda: workload(n))
-        baseline_s[name] = baseline
-        overhead[name] = {}
-        for config, make_tracer in follow_factories.items():
-
-            def traced() -> None:
-                tracer = make_tracer()
-                tracer.start()
-                try:
-                    workload(n)
-                finally:
-                    tracer.stop()
-
-            total = _best_of(reps, traced)
-            overhead[name][config] = max(0.0, (total - baseline) / calls_done)
+        # The warm-up run also reports how many hot calls were made.
+        measure(name, workload, follow_factories, workload(n))
 
     return OverheadBenchResult(
         python=platform.python_version(),
@@ -417,13 +397,3 @@ def render_overhead_bench(result: OverheadBenchResult) -> str:
         f"({result.concurrent_limit_s() * 1e6:.3f} µs/call)"
     )
     return f"{table}\n{verdict}"
-
-
-def write_overhead_bench(
-    result: OverheadBenchResult, output: str | Path = DEFAULT_OUTPUT
-) -> Path:
-    output = Path(output)
-    output.write_text(
-        json.dumps(result.to_dict(), indent=2) + "\n", encoding="utf-8"
-    )
-    return output

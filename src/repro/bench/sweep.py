@@ -33,12 +33,11 @@ before any timing is reported.  ``--check`` additionally gates
 
 from __future__ import annotations
 
-import json
 import tempfile
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.bench.harness import best_of, default_project_dir
 from repro.views.tables import render_table
 
 #: Default output path, relative to the working directory.
@@ -50,13 +49,6 @@ PROFILE_OUTPUT = Path("BENCH_sweep_profile.txt")
 #: ``--check`` floor: a cold parallel sweep must beat the reference
 #: serial baseline by at least this factor.
 MIN_PARALLEL_SPEEDUP = 2.0
-
-
-def default_project_dir() -> Path:
-    """This repo's own source tree: the installed ``repro`` package."""
-    import repro
-
-    return Path(repro.__file__).resolve().parent
 
 
 def _baseline_analyzer():
@@ -120,14 +112,6 @@ class SweepBenchResult:
         }
 
 
-def _timed_analyze(
-    project: Path, make_analyzer=_optimized_analyzer, **kwargs
-) -> tuple[float, dict]:
-    start = time.perf_counter()
-    results = make_analyzer().analyze_project(project, **kwargs)
-    return time.perf_counter() - start, results
-
-
 def run_sweep_bench(
     project_dir: str | Path | None = None,
     jobs: int = 2,
@@ -144,22 +128,12 @@ def run_sweep_bench(
     jobs = clamp_jobs(jobs)
 
     timings: dict[str, float] = {}
-
-    def best(name: str, run) -> dict:
-        results = {}
-        timings[name] = min_elapsed = float("inf")
-        for _ in range(max(1, repeats)):
-            elapsed, results = run()
-            min_elapsed = min(min_elapsed, elapsed)
-        timings[name] = min_elapsed
-        return results
-
-    serial = best(
-        "serial_cold",
-        lambda: _timed_analyze(project, make_analyzer=_baseline_analyzer),
+    timings["serial_cold"], serial = best_of(
+        repeats, lambda: _baseline_analyzer().analyze_project(project)
     )
-    parallel = best(
-        "parallel_cold", lambda: _timed_analyze(project, jobs=jobs)
+    timings["parallel_cold"], parallel = best_of(
+        repeats,
+        lambda: _optimized_analyzer().analyze_project(project, jobs=jobs),
     )
     # Equality against the vendored reference pipeline proves parallel
     # merge determinism AND end-to-end soundness of every hot-path
@@ -168,16 +142,15 @@ def run_sweep_bench(
     deterministic = serial == parallel
 
     with tempfile.TemporaryDirectory(prefix="pepo-bench-cache-") as cache_dir:
-        cold_elapsed, cached = _timed_analyze(
-            project, cache=True, cache_dir=cache_dir
-        )
-        timings["cache_cold"] = cold_elapsed
-        deterministic = deterministic and cached == serial
-        warm = best(
-            "cache_warm",
-            lambda: _timed_analyze(project, cache=True, cache_dir=cache_dir),
-        )
-        deterministic = deterministic and warm == serial
+
+        def cached() -> dict:
+            return _optimized_analyzer().analyze_project(
+                project, cache=True, cache_dir=cache_dir
+            )
+
+        timings["cache_cold"], cold = best_of(1, cached)
+        timings["cache_warm"], warm = best_of(repeats, cached)
+        deterministic = deterministic and cold == serial and warm == serial
 
     return SweepBenchResult(
         project=str(project),
@@ -279,13 +252,3 @@ def render_sweep_bench(result: SweepBenchResult) -> str:
         "baseline)"
     )
     return f"{table}\n{determinism}\n{gate}"
-
-
-def write_sweep_bench(
-    result: SweepBenchResult, output: str | Path = DEFAULT_OUTPUT
-) -> Path:
-    output = Path(output)
-    output.write_text(
-        json.dumps(result.to_dict(), indent=2) + "\n", encoding="utf-8"
-    )
-    return output

@@ -14,6 +14,8 @@ import sys
 import time
 from pathlib import Path
 
+from repro.bench.__main__ import add_arguments as add_bench_arguments
+from repro.bench.__main__ import run as run_bench
 from repro.core import PEPO
 
 #: Default run-store location, co-located with the sweep cache so
@@ -278,53 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
         "(predictor-ready feature vectors)",
     )
 
-    bench = sub.add_parser(
-        "bench", help="regenerate a paper table/figure or a perf bench"
-    )
-    bench.add_argument(
-        "target",
-        choices=["table1", "table2", "table3", "table4", "figures", "sweep",
-                 "overhead", "chaos", "ingest", "semantics", "all"],
-    )
-    bench.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="sweep: worker processes for the parallel configuration",
-    )
-    bench.add_argument(
-        "--check",
-        action="store_true",
-        help="sweep: exit 1 unless parallel/cached output matches the "
-        "reference serial baseline and clears the speedup gate; "
-        "overhead: exit 1 unless the new runtime beats the legacy tracer; "
-        "chaos: exit 1 unless every fault-tolerance criterion holds; "
-        "semantics: exit 1 unless the flow-fact layer stays within its "
-        "ms-per-KLoC budget",
-    )
-    bench.add_argument(
-        "--quick",
-        action="store_true",
-        help="overhead/semantics: small corpus / few repeats (CI smoke run)",
-    )
-    bench.add_argument(
-        "--profile",
-        action="store_true",
-        help="sweep: also cProfile each stage and write the top-N report "
-        "to BENCH_sweep_profile.txt",
-    )
-    bench.add_argument(
-        "--checkpoint",
-        type=Path,
-        default=None,
-        help="checkpoint file for table4: a killed run resumes from the "
-        "last completed classifier instead of starting over",
-    )
-    bench.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="table1: verify micro-pairs and print the layout without "
-        "running the energy harness",
+    add_bench_arguments(
+        sub.add_parser(
+            "bench", help="regenerate a paper table/figure or a perf bench"
+        )
     )
     return parser
 
@@ -397,16 +356,26 @@ def _sweep_options(args: argparse.Namespace):
     )
 
 
-def _sweep_jobs(args: argparse.Namespace) -> int:
-    """``--jobs`` capped at the usable CPU count.
-
-    The engine honors any worker count (tests need that); the CLI caps
-    it here because ``--jobs 8`` on a 2-core container would spend its
-    time on process churn, not analysis.
-    """
+def _sweep_project(owner, sweep, path: Path, args, **kwargs):
+    """Run ``sweep`` (a bound ``analyze_project``/``optimize_project``
+    of ``owner``) over a directory with the shared sweep flags, then
+    report the sweep's warnings and self-profile to stderr."""
     from repro.sweep import clamp_jobs
 
-    return clamp_jobs(args.jobs)
+    results = sweep(
+        path,
+        # The engine honors any worker count (tests need that); the CLI
+        # caps it because ``--jobs 8`` on a 2-core container would spend
+        # its time on process churn, not analysis.
+        jobs=clamp_jobs(args.jobs),
+        cache=args.cache,
+        exclude=args.exclude,
+        options=_sweep_options(args),
+        **kwargs,
+    )
+    _report_sweep(owner.last_sweep_stats, owner.last_quarantine)
+    _report_profile(owner.last_profile)
+    return results
 
 
 def _report_sweep(stats, quarantine, *, err=None) -> None:
@@ -464,15 +433,9 @@ def _cmd_suggest(args: argparse.Namespace, out) -> int:
     if args.watch:
         return _watch(pepo, path, args.interval, out, once=args.once)
     if path.is_dir():
-        findings_by_file = analyzer.analyze_project(
-            path,
-            jobs=_sweep_jobs(args),
-            cache=args.cache,
-            exclude=args.exclude,
-            options=_sweep_options(args),
+        findings_by_file = _sweep_project(
+            analyzer, analyzer.analyze_project, path, args
         )
-        _report_sweep(analyzer.last_sweep_stats, analyzer.last_quarantine)
-        _report_profile(analyzer.last_profile)
         if args.format == "json":
             from repro.check import iter_json_lines
 
@@ -519,15 +482,9 @@ def _cmd_check(args: argparse.Namespace, out) -> int:
     path: Path = args.path
     if path.is_dir():
         root = path
-        findings_by_file = analyzer.analyze_project(
-            path,
-            jobs=_sweep_jobs(args),
-            cache=args.cache,
-            exclude=args.exclude,
-            options=_sweep_options(args),
+        findings_by_file = _sweep_project(
+            analyzer, analyzer.analyze_project, path, args
         )
-        _report_sweep(analyzer.last_sweep_stats, analyzer.last_quarantine)
-        _report_profile(analyzer.last_profile)
     else:
         root = path.parent
         findings_by_file = {str(path): analyzer.analyze_file(path)}
@@ -623,16 +580,9 @@ def _cmd_optimize(args: argparse.Namespace, out) -> int:
     pepo = PEPO()
     path: Path = args.path
     if path.is_dir():
-        results = pepo.optimize_project(
-            path,
-            write=args.write,
-            jobs=_sweep_jobs(args),
-            cache=args.cache,
-            exclude=args.exclude,
-            options=_sweep_options(args),
+        results = _sweep_project(
+            pepo, pepo.optimize_project, path, args, write=args.write
         )
-        _report_sweep(pepo.last_sweep_stats, pepo.last_quarantine)
-        _report_profile(pepo.last_profile)
     else:
         results = {str(path): pepo.optimize_file(path, write=args.write)}
     total = 0
@@ -867,22 +817,7 @@ def _cmd_facts(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace, out) -> int:
-    from repro.bench.__main__ import main as bench_main
-
-    argv = [args.target]
-    if args.checkpoint is not None:
-        argv += ["--checkpoint", str(args.checkpoint)]
-    if args.dry_run:
-        argv += ["--dry-run"]
-    if args.jobs is not None:
-        argv += ["--jobs", str(args.jobs)]
-    if args.check:
-        argv += ["--check"]
-    if args.quick:
-        argv += ["--quick"]
-    if args.profile:
-        argv += ["--profile"]
-    return bench_main(argv)
+    return run_bench(args)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro.bench`` runner."""
 
+import json
+
 import pytest
 
 from repro.bench.__main__ import main
@@ -52,6 +54,24 @@ class TestBenchMain:
         assert code == 0
         assert "within budget" in capsys.readouterr().out
         assert target.exists()
+
+    def test_failed_gate_exits_one(self, tmp_path, monkeypatch, capsys):
+        import repro.bench.semantics as semantics
+
+        over_budget = semantics.SemanticsBenchResult(
+            python="3.x", corpus="corpus", files=1, loc=1000, functions=1,
+            repeats=1, quick=True, parse_ms=1.0,
+            facts_ms=semantics.BUDGET_MS_PER_KLOC * 2,
+        )
+        monkeypatch.setattr(
+            semantics, "run_semantics_bench", lambda **_: over_budget
+        )
+        target = tmp_path / "BENCH_semantics.json"
+        assert main(["semantics", "--output", str(target)]) == 0
+        assert main(["semantics", "--check", "--output", str(target)]) == 1
+        out = capsys.readouterr().out
+        assert "SEMANTICS REGRESSION" in out
+        assert json.loads(target.read_text())["meets_target"] is False
 
     def test_unknown_target_rejected(self):
         with pytest.raises(SystemExit):

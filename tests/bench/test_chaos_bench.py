@@ -6,8 +6,9 @@ from repro.bench.chaos import (
     ChaosBenchResult,
     render_chaos_bench,
     run_chaos_bench,
-    write_chaos_bench,
+    write_quarantine_report,
 )
+from repro.bench.harness import write_bench_json
 
 
 def tiny_run() -> ChaosBenchResult:
@@ -21,7 +22,7 @@ class TestChaosBench:
     def test_every_criterion_passes(self):
         result = tiny_run()
         assert result.checks
-        assert result.passed(), result.checks
+        assert result.meets_target(), result.checks
 
     def test_quarantine_roster_is_exact(self):
         result = tiny_run()
@@ -39,12 +40,14 @@ class TestChaosBench:
 
     def test_json_round_trip(self, tmp_path):
         result = tiny_run()
-        output = write_chaos_bench(result, tmp_path / "BENCH_chaos.json")
+        output = write_bench_json(result, tmp_path / "BENCH_chaos.json")
+        write_quarantine_report(result, output)
         payload = json.loads(output.read_text())
         assert payload["bench"] == "chaos"
         assert payload["passed"] is True
         assert set(payload["checks"]) == set(result.checks)
         assert payload["stats"]["quarantined"] == 2
+        assert (tmp_path / "BENCH_chaos_quarantine.json").exists()
 
     def test_failed_check_fails_the_bench(self):
         result = ChaosBenchResult(
@@ -56,5 +59,5 @@ class TestChaosBench:
                    "quarantined": 0},
             elapsed_s=0.1,
         )
-        assert not result.passed()
+        assert not result.meets_target()
         assert "FAIL" in render_chaos_bench(result)

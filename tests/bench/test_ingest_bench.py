@@ -8,12 +8,12 @@ np = pytest.importorskip("numpy")
 
 import dataclasses
 
+from repro.bench.harness import write_bench_json
 from repro.bench.ingest import (
     TARGET_SPEEDUP,
     IngestBenchResult,
     render_ingest_bench,
     run_ingest_bench,
-    write_ingest_bench,
 )
 
 
@@ -44,7 +44,7 @@ class TestRunIngestBench:
         assert "rows/s" in text
 
     def test_write(self, result, tmp_path):
-        out = write_ingest_bench(result, tmp_path / "BENCH_ingest.json")
+        out = write_bench_json(result, tmp_path / "BENCH_ingest.json")
         assert json.loads(out.read_text())["bench"] == "ingest"
 
 

@@ -2,6 +2,7 @@
 
 import json
 
+from repro.bench.harness import write_bench_json
 from repro.bench.overhead import (
     CONCURRENT_NOISE_FLOOR_S,
     CONCURRENT_WORKLOADS,
@@ -9,7 +10,6 @@ from repro.bench.overhead import (
     OverheadBenchResult,
     render_overhead_bench,
     run_overhead_bench,
-    write_overhead_bench,
 )
 from repro.profiler.runtime import MonitoringRuntime
 
@@ -106,7 +106,7 @@ class TestOverheadBench:
 
     def test_json_output_is_valid_and_finite(self, tmp_path):
         result = tiny_run()
-        path = write_overhead_bench(result, tmp_path / "BENCH_overhead.json")
+        path = write_bench_json(result, tmp_path / "BENCH_overhead.json")
         data = json.loads(path.read_text())
         assert data["bench"] == "overhead"
         assert data["new_runtime"] == result.new_runtime

@@ -2,6 +2,7 @@
 
 import json
 
+from repro.bench.harness import write_bench_json
 from repro.bench.semantics import (
     BUDGET_MS_PER_KLOC,
     QUICK_FILE_CAP,
@@ -9,7 +10,6 @@ from repro.bench.semantics import (
     corpus_files,
     render_semantics_bench,
     run_semantics_bench,
-    write_semantics_bench,
 )
 
 
@@ -38,6 +38,19 @@ class TestCorpus:
         assert all(
             "__pycache__" not in p.parts for p in corpus_files(tmp_path)
         )
+
+    def test_project_under_skip_dir_name_is_walked(self, tmp_path):
+        # Only directories *below* the root are skipped: a project that
+        # itself lives under ``venv/`` (or ``.git/``) is still a corpus.
+        for parent in ("venv", ".git"):
+            root = tmp_path / parent / "proj"
+            root.mkdir(parents=True)
+            project(root)
+            assert corpus_files(root) == sorted(root.glob("mod*.py"))
+            nested = root / parent
+            nested.mkdir()
+            (nested / "vendored.py").write_text("def v():\n    pass\n")
+            assert nested / "vendored.py" not in corpus_files(root)
 
     def test_cap_keeps_largest_files_in_sorted_order(self, tmp_path):
         project(tmp_path, n_files=4)
@@ -126,9 +139,7 @@ class TestOutput:
 
     def test_json_output_round_trips(self, tmp_path):
         result = run_semantics_bench(project(tmp_path), quick=True)
-        path = write_semantics_bench(
-            result, tmp_path / "BENCH_semantics.json"
-        )
+        path = write_bench_json(result, tmp_path / "BENCH_semantics.json")
         data = json.loads(path.read_text())
         assert data["bench"] == "semantics"
         assert data["files"] == 3

@@ -185,6 +185,33 @@ class TestBench:
         assert "ms/KLoC" in out
         assert (tmp_path / "BENCH_semantics.json").exists()
 
+    def test_bench_project_and_output_flags(self, tmp_path, capsys):
+        project = tmp_path / "proj"
+        project.mkdir()
+        (project / "mod.py").write_text(DIRTY)
+        target = tmp_path / "out.json"
+        assert main(
+            ["bench", "semantics", "--quick", "--check", "--project",
+             str(project), "--output", str(target)]
+        ) == 0
+        assert f"wrote {target}" in capsys.readouterr().out
+        assert target.exists()
+
+    def test_bench_table4_custom_size(self, capsys):
+        assert main(
+            ["bench", "table4", "--instances", "120", "--folds", "3",
+             "--repeats", "3"]
+        ) == 0
+        assert "Random Forest" in capsys.readouterr().out
+
+    def test_bench_matches_python_m_repro_bench(self, capsys):
+        from repro.bench.__main__ import main as bench_main
+
+        assert main(["bench", "table3"]) == 0
+        via_pepo = capsys.readouterr().out
+        assert bench_main(["table3"]) == 0
+        assert capsys.readouterr().out == via_pepo
+
 
 class TestFacts:
     def test_text_table_for_file(self, tmp_path, capsys):
