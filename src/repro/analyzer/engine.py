@@ -55,8 +55,10 @@ class Analyzer:
         only to benchmark the unfiltered path.
     eager_semantics:
         Build the scope/type/hotness tables up front instead of on
-        first query — the pre-optimization baseline mode the sweep
-        bench compares against.
+        first query.  Output is the same either way; the one caller is
+        the ``cold-project`` benchmark's oracle
+        (``perfbench/pepobench/cold_project.py``), which checks every
+        sweep against an unfiltered, eager analysis.
     """
 
     def __init__(
@@ -237,7 +239,7 @@ class Analyzer:
         """Active rules whose ``interested_types`` cover this AST class.
 
         Memoized per (active-rule mask, concrete node class): after the
-        first few nodes of a sweep every ``_check`` is one dict hit
+        first few nodes of a sweep every lookup is one dict hit
         instead of dispatching all rules against all ~30 node types a
         module actually uses.
         """
@@ -256,24 +258,12 @@ class Analyzer:
             self._dispatch[(active, node_type)] = matched
             return matched
 
-    def _check(
-        self,
-        node: ast.AST,
-        ctx: AnalysisContext,
-        out: list[Finding],
-        active: int | None = None,
-    ) -> None:
-        if active is None:
-            active = self._all_active
-        for rule in self._rules_for(type(node), active):
-            out.extend(rule.check(node, ctx))
-
     def _walk(
         self,
         node: ast.AST,
         ctx: AnalysisContext,
         out: list[Finding],
-        active: int | None = None,
+        active: int,
     ) -> None:
         """Pre-order traversal driving every rule check.
 
@@ -283,8 +273,6 @@ class Analyzer:
         done: ``(0,)`` pops a loop, ``(1, saved)`` pops a function and
         restores the definition site's loop stack.
         """
-        if active is None:
-            active = self._all_active
         rules_for = self._rules_for
         stack: list = list(reversed(child_nodes(node)))
         while stack:

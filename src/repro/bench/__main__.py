@@ -83,7 +83,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         "--check",
         action="store_true",
         help="sweep: exit 1 unless parallel/cached output is identical "
-        "to the reference serial baseline AND the cold parallel sweep "
+        "to the reference commit's AND the cold parallel sweep "
         "beats it by the gated speedup; overhead: exit 1 unless the new "
         "runtime's per-call overhead is within the legacy tracer's; "
         "ingest: exit 1 unless the vectorized aggregates are bit-exact "
@@ -95,8 +95,8 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--profile",
         action="store_true",
-        help="sweep: also cProfile one run of each stage and write the "
-        "top-N report to BENCH_sweep_profile.txt (CI artifact)",
+        help="sweep: also cProfile one run of each live stage and write "
+        "the top-N report to BENCH_sweep_profile.txt (CI artifact)",
     )
     parser.add_argument(
         "--quick",

@@ -3,11 +3,12 @@
 Four configurations of the analyzer sweep over ``src/repro`` (or any
 project directory):
 
-* ``serial_cold``    — one process, no cache, running
-  :class:`repro.unopt.analyzer.ReferenceAnalyzer`: the pre-overhaul
-  pipeline (eager semantic models, recursive walk, no pre-filter),
-  vendored so in-place optimizations to the live engine cannot
-  silently speed the baseline too;
+* ``serial_cold``    — the engine at :data:`REFERENCE_COMMIT`, the last
+  commit before the cold-sweep overhaul (eager semantic models,
+  recursive walk, no pre-filter): one process, no cache.  Its
+  ``src/repro`` is extracted with ``git archive`` and run in a fresh
+  interpreter that imports nothing from the live tree, so no change to
+  the live engine can speed the baseline too;
 * ``parallel_cold``  — ``--jobs N`` worker processes, no cache, with
   the full cold-sweep hot path (trigger pre-filter, lazy semantic
   layers, fused traversal, chunked dispatch, compact wire format);
@@ -21,19 +22,28 @@ project directory):
 process churn, not the engine.
 
 Results go to ``BENCH_sweep.json`` so the perf trajectory is measured,
-not asserted.  Every optimized configuration is also checked for
-byte-identical findings against the reference analyzer — each bench
-run doubles as a differential test of the whole optimized pipeline, so
-a pre-filter/laziness/merge soundness regression fails the bench
-before any timing is reported.  ``--check`` additionally gates
-``parallel_cold`` at :data:`MIN_PARALLEL_SPEEDUP` over the baseline;
-``--profile`` writes a per-stage cProfile report to
+not asserted.  Every run is also a differential test: the live
+configurations must agree with each other exactly, and with the
+reference commit's findings for every rule whose ``(rule_id,
+version)`` is the same on both sides (a rule whose version was bumped
+since is left out of that comparison and named in the output).  A
+pre-filter/laziness/merge soundness regression therefore fails the
+bench.  The bench needs the repository's git history; without the
+reference commit it exits with a one-line error rather than passing.
+``--check`` additionally gates ``parallel_cold`` at
+:data:`MIN_PARALLEL_SPEEDUP` over the reference; ``--profile`` writes
+a per-stage cProfile report of the live configurations to
 ``BENCH_sweep_profile.txt``.
 """
 
 from __future__ import annotations
 
+import io
+import json
+import subprocess
+import sys
 import tempfile
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,12 +60,88 @@ PROFILE_OUTPUT = Path("BENCH_sweep_profile.txt")
 #: serial baseline by at least this factor.
 MIN_PARALLEL_SPEEDUP = 2.0
 
+#: The measured baseline: the last commit before the cold-sweep
+#: overhaul.  Its engine runs from a ``git archive`` of this commit.
+REFERENCE_COMMIT = "749febe163cabc332711e447d68dd6f3dcb09ec5"
 
-def _baseline_analyzer():
-    """The vendored pre-overhaul pipeline (see :mod:`repro.unopt`)."""
-    from repro.unopt.analyzer import ReferenceAnalyzer
+# The checkout this module lives in (``<root>/src/repro/bench``).
+_REPO_ROOT = Path(__file__).resolve().parents[3]
 
-    return ReferenceAnalyzer()
+# Runs in ``python -I`` with the extracted reference tree first on
+# sys.path: times the old engine's serial sweep (best of ``repeats``)
+# and prints the time, its findings and its rule versions as JSON.
+_REFERENCE_SCRIPT = """\
+import json, sys, time
+from pathlib import Path
+
+tree, project, repeats = Path(sys.argv[1]), sys.argv[2], int(sys.argv[3])
+sys.path.insert(0, str(tree))
+import repro
+from repro.analyzer import Analyzer
+from repro.rules import REGISTRY
+
+assert Path(repro.__file__).resolve().is_relative_to(tree), repro.__file__
+best = float("inf")
+for _ in range(max(1, repeats)):
+    start = time.perf_counter()
+    found = Analyzer().analyze_project(project)
+    best = min(best, time.perf_counter() - start)
+json.dump({
+    "seconds": best,
+    "repro_file": repro.__file__,
+    "findings": {p: [f.to_dict() for f in fs] for p, fs in found.items()},
+    "versions": {c.rule_id: c.version for c in REGISTRY.detector_classes()},
+}, sys.stdout)
+"""
+
+
+@dataclass(frozen=True)
+class ReferenceRun:
+    """What the engine at :data:`REFERENCE_COMMIT` reported."""
+
+    seconds: float
+    findings: dict[str, list[dict]]
+    versions: dict[str, int]
+    repro_file: str
+    tree: str
+
+
+def run_reference(project: Path, repeats: int) -> ReferenceRun:
+    """Extract :data:`REFERENCE_COMMIT`'s ``src/repro`` and sweep
+    ``project`` with it in a fresh interpreter.
+
+    Raises :class:`SystemExit` with a one-line message when the commit
+    cannot be read (a shallow clone, a source tarball, no ``git``).
+    """
+    with tempfile.TemporaryDirectory(prefix="pepo-bench-reference-") as tmp:
+        tree = Path(tmp).resolve()
+        try:
+            archive = subprocess.run(
+                ["git", "-C", str(_REPO_ROOT), "archive", "--format=zip",
+                 "-0", "--prefix=repro/", f"{REFERENCE_COMMIT}:src/repro"],
+                capture_output=True,
+                check=True,
+            )
+        except (OSError, subprocess.CalledProcessError):
+            raise SystemExit(
+                "pepo bench sweep: cannot read reference commit "
+                f"{REFERENCE_COMMIT}; the sweep bench needs the "
+                "repository's git history (not a shallow clone or a "
+                "source tarball)"
+            ) from None
+        with zipfile.ZipFile(io.BytesIO(archive.stdout)) as files:
+            files.extractall(tree)
+        child = subprocess.run(
+            [sys.executable, "-I", "-c", _REFERENCE_SCRIPT,
+             str(tree), str(project), str(repeats)],
+            capture_output=True,
+            text=True,
+        )
+    if child.returncode != 0:
+        raise RuntimeError(
+            f"reference engine at {REFERENCE_COMMIT} failed:\n{child.stderr}"
+        )
+    return ReferenceRun(tree=str(tree), **json.loads(child.stdout))
 
 
 def _optimized_analyzer():
@@ -63,6 +149,14 @@ def _optimized_analyzer():
     from repro.analyzer import Analyzer
 
     return Analyzer()
+
+
+def _rows(findings: dict[str, list[dict]], rules: set[str]) -> dict:
+    """``findings`` restricted to the rule ids in ``rules``."""
+    return {
+        path: [row for row in rows if row["rule"] in rules]
+        for path, rows in findings.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -75,6 +169,9 @@ class SweepBenchResult:
     jobs: int
     timings: dict[str, float]
     deterministic: bool
+    #: Rules left out of the reference comparison because their
+    #: ``(rule_id, version)`` differs from the reference commit's.
+    unshared_rules: tuple[str, ...] = ()
 
     def speedups(self) -> dict[str, float]:
         """Each configuration's speedup over the cold serial sweep."""
@@ -122,24 +219,38 @@ def run_sweep_bench(
     ``jobs`` is capped at the usable CPU count; the recorded ``jobs``
     field is the count actually used.
     """
+    from repro.rules import REGISTRY
     from repro.sweep import clamp_jobs
 
     project = Path(project_dir) if project_dir else default_project_dir()
     jobs = clamp_jobs(jobs)
 
-    timings: dict[str, float] = {}
-    timings["serial_cold"], serial = best_of(
-        repeats, lambda: _baseline_analyzer().analyze_project(project)
-    )
+    reference = run_reference(project, repeats)
+    timings: dict[str, float] = {"serial_cold": reference.seconds}
     timings["parallel_cold"], parallel = best_of(
         repeats,
         lambda: _optimized_analyzer().analyze_project(project, jobs=jobs),
     )
-    # Equality against the vendored reference pipeline proves parallel
-    # merge determinism AND end-to-end soundness of every hot-path
+    # Agreement with the pre-overhaul engine proves parallel merge
+    # determinism AND end-to-end soundness of every hot-path
     # optimization (pre-filter, lazy layers, fused walk, wire format)
-    # on a real corpus, every bench run.
-    deterministic = serial == parallel
+    # on a real corpus, every bench run — for every rule unchanged
+    # since the reference commit.
+    versions = {
+        cls.rule_id: cls.version for cls in REGISTRY.detector_classes()
+    }
+    shared = {
+        rule_id
+        for rule_id, version in versions.items()
+        if reference.versions.get(rule_id) == version
+    }
+    live_rows = {
+        path: [finding.to_dict() for finding in found]
+        for path, found in parallel.items()
+    }
+    deterministic = _rows(live_rows, shared) == _rows(
+        reference.findings, shared
+    )
 
     with tempfile.TemporaryDirectory(prefix="pepo-bench-cache-") as cache_dir:
 
@@ -150,15 +261,18 @@ def run_sweep_bench(
 
         timings["cache_cold"], cold = best_of(1, cached)
         timings["cache_warm"], warm = best_of(repeats, cached)
-        deterministic = deterministic and cold == serial and warm == serial
+        deterministic = deterministic and cold == parallel and warm == parallel
 
     return SweepBenchResult(
         project=str(project),
-        files=len(serial),
-        findings=sum(len(v) for v in serial.values()),
+        files=len(parallel),
+        findings=sum(len(v) for v in parallel.values()),
         jobs=jobs,
         timings=timings,
         deterministic=deterministic,
+        unshared_rules=tuple(
+            sorted((set(versions) | set(reference.versions)) - shared)
+        ),
     )
 
 
@@ -167,7 +281,9 @@ def profile_sweep_bench(
     jobs: int = 2,
     top: int = 25,
 ) -> str:
-    """cProfile one run of each sweep stage; returns the report text.
+    """cProfile one run of each live sweep stage; returns the report
+    text.  ``serial_cold`` is left out: a frozen commit's profile
+    diagnoses nothing.
 
     Parallel stages profile the *parent* process only (submit, IPC,
     decode, merge) — worker CPU lives in child processes; use
@@ -197,10 +313,6 @@ def profile_sweep_bench(
         stats.sort_stats("cumulative").print_stats(top)
         sections.append(f"===== {stage} =====\n{buffer.getvalue().rstrip()}")
 
-    profiled(
-        "serial_cold",
-        lambda: _baseline_analyzer().analyze_project(project),
-    )
     profiled(
         "parallel_cold (parent process)",
         lambda: _optimized_analyzer().analyze_project(project, jobs=jobs),
@@ -251,4 +363,10 @@ def render_sweep_bench(result: SweepBenchResult) -> str:
         f"(gate: >= {MIN_PARALLEL_SPEEDUP:.1f}x over the reference "
         "baseline)"
     )
-    return f"{table}\n{determinism}\n{gate}"
+    lines = [table, determinism, gate]
+    if result.unshared_rules:
+        lines.append(
+            "not compared with the reference (rule version changed since "
+            f"{REFERENCE_COMMIT[:7]}): {', '.join(result.unshared_rules)}"
+        )
+    return "\n".join(lines)

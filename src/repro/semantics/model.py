@@ -100,8 +100,8 @@ class SemanticModel:
     purity/call-graph pass on the first ``is_pure``/``call_hotness``
     query — so files whose rules are all pre-filtered away (or whose
     findings never need flow facts) pay only ``ast.parse``.  Pass
-    ``eager=True`` to force the scope/type/hotness tables up front —
-    the pre-optimization baseline the sweep bench compares against.
+    ``eager=True`` to force the scope/type/hotness tables up front (the
+    ``cold-project`` benchmark's oracle and probe run this way).
     """
 
     def __init__(
@@ -439,7 +439,7 @@ def build_semantic_model(
     """Compute the semantic model for one parsed module.
 
     ``eager=True`` forces the scope/type/hotness tables immediately
-    (the pre-optimization baseline); the default defers every layer to
-    its first query.
+    (the ``cold-project`` benchmark's oracle and probe run this way);
+    the default defers every layer to its first query.
     """
     return SemanticModel(tree, filename=filename, eager=eager)

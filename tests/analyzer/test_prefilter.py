@@ -14,7 +14,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analyzer import Analyzer
@@ -49,6 +49,53 @@ def mixed_program(draw):
     return "\n".join(parts)
 
 
+#: Identifiers over a-g of at most two letters: none is a keyword.
+_NAME = st.text(alphabet="abcdefg", min_size=1, max_size=2)
+
+_EXPR = st.recursive(
+    st.one_of(
+        _NAME,
+        st.integers(0, 9999).map(str),
+        st.text(alphabet="abcdefg 0123456789", max_size=4).map(repr),
+    ),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*%"), inner).map(" ".join),
+        st.tuples(_NAME, inner).map("{0[0]}({0[1]})".format),
+        st.tuples(_NAME, inner).map("{0[0]}[{0[1]}]".format),
+        st.lists(inner, max_size=3).map(", ".join).map("[{}]".format),
+    ),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _block(draw, indent: str = "", depth: int = 0) -> list[str]:
+    """1-4 statements at ``indent``: assignments, augmented
+    assignments, calls and, up to two levels deep, nested blocks."""
+    kinds = ["=", "+=", "%=", "call"]
+    if depth < 2:
+        kinds += ["if", "for", "while"]
+    lines: list[str] = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "call":
+            lines.append(f"{indent}{draw(_NAME)}({draw(_EXPR)})")
+        elif kind in ("if", "while"):
+            lines.append(f"{indent}{kind} {draw(_EXPR)}:")
+            lines += draw(_block(indent + "    ", depth + 1))
+        elif kind == "for":
+            lines.append(f"{indent}for {draw(_NAME)} in {draw(_EXPR)}:")
+            lines += draw(_block(indent + "    ", depth + 1))
+        else:
+            lines.append(f"{indent}{draw(_NAME)} {kind} {draw(_EXPR)}")
+    return lines
+
+
+#: Statement soup over the same identifiers, digits and operators:
+#: valid Python by construction, so no draw is filtered away.
+parseable_soup = _block().map(lambda lines: "\n".join(lines) + "\n")
+
+
 def _as_bytes(findings) -> bytes:
     return json.dumps([f.to_dict() for f in findings]).encode()
 
@@ -68,16 +115,9 @@ class TestPrefilterParityProperty:
         assert _as_bytes(filtered) == _as_bytes(unfiltered)
 
     @settings(max_examples=25, deadline=None)
-    @given(
-        text=st.text(
-            alphabet="abcdefg()[]:=+%\n 0123456789'\"", max_size=200
-        )
-    )
+    @given(text=parseable_soup)
     def test_parseable_soup_identical(self, text):
-        try:
-            compile(text, "<soup>", "exec")
-        except (SyntaxError, ValueError):
-            assume(False)
+        compile(text, "<soup>", "exec")  # raises if a draw is not Python
         filtered = Analyzer(extended=True).analyze_source(text)
         unfiltered = Analyzer(
             extended=True, prefilter=False
