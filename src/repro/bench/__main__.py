@@ -122,6 +122,8 @@ def run(args: argparse.Namespace) -> int:
         if args.target == "all"
         else [args.target]
     )
+    import_module = importlib.import_module
+    perf_benches = _PERF_BENCHES
     for target in targets:
         if target == "table1":
             from repro.bench.table1 import render_table1, run_table1
@@ -162,9 +164,9 @@ def run(args: argparse.Namespace) -> int:
                 print(f"===== {name} =====")
                 print(text)
         else:
-            module = importlib.import_module(f"repro.bench.{target}")
+            module = import_module(f"repro.bench.{target}")
             result = getattr(module, f"run_{target}_bench")(
-                **_PERF_BENCHES[target](args)
+                **perf_benches[target](args)
             )
             print(getattr(module, f"render_{target}_bench")(result))
             output = write_bench_json(

@@ -30,10 +30,11 @@ def best_of(repeats: int, fn: Callable[[], T]) -> tuple[float, T]:
     """Call ``fn`` ``max(1, repeats)`` times; returns the fastest wall
     time in seconds and the last call's return value."""
     best = float("inf")
+    perf_counter = time.perf_counter
     for _ in range(max(1, repeats)):
-        start = time.perf_counter()
+        start = perf_counter()
         value = fn()
-        best = min(best, time.perf_counter() - start)
+        best = min(best, perf_counter() - start)
     return best, value
 
 

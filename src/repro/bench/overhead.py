@@ -327,7 +327,8 @@ def run_overhead_bench(
     overhead: dict[str, dict[str, float]] = {}
 
     def measure(name: str, workload, tracers: dict, hot_calls: int) -> None:
-        baseline_s[name], _ = best_of(reps, lambda: workload(n))
+        time_best = best_of
+        baseline_s[name], _ = time_best(reps, lambda: workload(n))
         overhead[name] = {}
         for config, make_tracer in tracers.items():
 
@@ -339,7 +340,7 @@ def run_overhead_bench(
                 finally:
                     tracer.stop()
 
-            total, _ = best_of(reps, traced)
+            total, _ = time_best(reps, traced)
             overhead[name][config] = max(
                 0.0, (total - baseline_s[name]) / hot_calls
             )

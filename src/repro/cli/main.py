@@ -17,6 +17,7 @@ from pathlib import Path
 from repro.bench.__main__ import add_arguments as add_bench_arguments
 from repro.bench.__main__ import run as run_bench
 from repro.core import PEPO
+from repro.profiler.records import ResultFileError
 
 #: Default run-store location, co-located with the sweep cache so
 #: ``pepo cache stats`` reports both from one root.
@@ -839,7 +840,8 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args, out)
-    except FileNotFoundError as error:
+    except (FileNotFoundError, ResultFileError) as error:
+        # A malformed result.txt names its own path and line.
         print(f"pepo: {error}", file=sys.stderr)
         return 2
     except ImportError as error:

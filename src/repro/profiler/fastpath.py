@@ -12,9 +12,12 @@ here, never a dependency.  This module is the single gate:
   list — interned method/context string tables plus flat float/int
   columns — shared with :mod:`repro.store`, whose ``.npz`` segments are
   exactly these columns on disk.
-* :func:`aggregate_columns` and :func:`parse_float_columns` are the
-  vectorized replacements for ``ProfileResult.aggregate()``'s bucket
-  loop and ``read_result_txt``'s per-line ``float()`` calls.
+* :func:`aggregate_columns` is the vectorized replacement for
+  ``ProfileResult.aggregate()``'s bucket loop.
+* :func:`parse_float_columns` is the one numeric converter behind
+  :func:`repro.profiler.records.parse_result_txt`: numpy arrays when
+  numpy is passed in (the run store always passes it), per-value
+  ``float()`` lists otherwise.
 
 Bit-exactness contract (enforced by tests/profiler/
 test_columnar_parity.py): every fast path must produce *identical*
@@ -250,49 +253,35 @@ def aggregate_columns(
     return out
 
 
-def invalid_energy_message(
-    path: object, lineno: int, column: str, raw: str
-) -> str:
-    """The one line-numbered rejection message both parse paths raise."""
-    return (
-        f"{path}:{lineno}: {column} must be a finite non-negative "
-        f"number, got {raw!r}"
-    )
-
-
-def validate_energy(
-    value: float, raw: str, column: str, path: object, lineno: int
-) -> None:
-    """Reject NaN/inf/negative energy values with a line-numbered error."""
-    if not math.isfinite(value) or value < 0.0:
-        raise ValueError(invalid_energy_message(path, lineno, column, raw))
-
-
 def parse_float_columns(
     columns: "dict[str, list[str]]",
     linenos: Sequence[int],
     path: object,
-    energy_columns: Sequence[str] = ("package_joules", "core_joules"),
-) -> "dict[str, list[float]] | None":
-    """Batch-convert the numeric ``result.txt`` columns with numpy.
+    np=None,
+) -> dict:
+    """Batch-convert the numeric ``result.txt`` columns, validating energy.
 
     ``columns`` maps column name → list of raw strings (one per data
-    line).  Returns column name → list of Python floats, or ``None``
-    when numpy is unavailable (caller falls back to per-value
-    ``float()``).  Both paths are correctly-rounded decimal→binary
-    conversions, so the floats are identical.
+    line).  With ``np`` each column comes back as a float64 array (one
+    vectorized conversion); without it as a list of Python floats
+    (per-value ``float()``).  Both are correctly-rounded decimal→binary
+    conversions, so the values are identical.
 
-    Energy columns are validated: NaN, infinities and negative values
-    raise a line-numbered :class:`ValueError` naming the offending
-    line, matching the pure path's message byte for byte.
+    Unparseable values, and NaN, infinite or negative values in the
+    energy columns, raise a line-numbered
+    :class:`~repro.profiler.records.ResultFileError` whose message is
+    the same byte for byte on either path.
     """
-    np = numpy_or_none()
-    if np is None:
-        return None
-    out: dict[str, list[float]] = {}
+    from repro.profiler.records import ResultFileError
+
+    isfinite = math.isfinite
+    out: dict = {}
     for name, raw in columns.items():
         try:
-            values = np.asarray(raw, dtype=np.float64)
+            if np is None:
+                values = [float(token) for token in raw]
+            else:
+                values = np.asarray(raw, dtype=np.float64)
         except ValueError:
             # Pinpoint the offending line the slow way; conversion
             # errors are the cold path.
@@ -300,17 +289,25 @@ def parse_float_columns(
                 try:
                     float(token)
                 except ValueError:
-                    raise ValueError(
+                    raise ResultFileError(
                         f"{path}:{linenos[i]}: could not parse "
                         f"{name} value {token!r}"
                     ) from None
             raise  # pragma: no cover - asarray failed, floats didn't
-        if name in energy_columns:
-            bad = ~np.isfinite(values) | (values < 0.0)
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise ValueError(
-                    invalid_energy_message(path, linenos[i], name, raw[i])
+        if name in ("package_joules", "core_joules"):
+            if np is None:
+                bad = [
+                    i
+                    for i, value in enumerate(values)
+                    if not (value >= 0.0 and isfinite(value))
+                ]
+            else:
+                mask = ~np.isfinite(values) | (values < 0.0)
+                bad = np.flatnonzero(mask).tolist()
+            if bad:
+                raise ResultFileError(
+                    f"{path}:{linenos[bad[0]]}: {name} must be a finite "
+                    f"non-negative number, got {raw[bad[0]]!r}"
                 )
-        out[name] = values.tolist()
+        out[name] = values
     return out

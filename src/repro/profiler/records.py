@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from repro.rapl.domains import Domain
 
@@ -19,12 +19,33 @@ if TYPE_CHECKING:
     from repro.profiler.fastpath import ProfileColumns
     from repro.profiler.runtime import OverheadEstimate
 
-_RESULT_HEADER = "# method\twall_seconds\tcpu_seconds\tpackage_joules\tcore_joules"
+#: The numeric ``result.txt`` columns, in file order after the method.
+_FLOAT_COLUMNS = ("wall_seconds", "cpu_seconds", "package_joules", "core_joules")
+_RESULT_HEADER = "\t".join(("# method", *_FLOAT_COLUMNS))
 
 
 def _clean_token(value: str) -> str:
     """Strip characters that would break the tab-separated line format."""
     return value.replace("\t", " ").replace("\n", " ").replace("\r", " ")
+
+
+def context_label(
+    pid: int, thread_id: int, thread_name: str, task_name: str
+) -> str:
+    """Compact execution-context tag, "main" for the default context."""
+    parts = []
+    if pid:
+        parts.append(f"pid={pid}")
+    if thread_id:
+        name = f"({thread_name})" if thread_name else ""
+        parts.append(f"thread={thread_id}{name}")
+    if task_name:
+        parts.append(f"task={task_name}")
+    return " ".join(parts) if parts else "main"
+
+
+class ResultFileError(ValueError):
+    """A malformed ``result.txt``: ``<path>:<line>: <reason>``."""
 
 
 @dataclass(frozen=True)
@@ -77,15 +98,9 @@ class MethodRecord:
     @property
     def context_label(self) -> str:
         """Compact execution-context tag, "main" for the default context."""
-        parts = []
-        if self.pid:
-            parts.append(f"pid={self.pid}")
-        if self.thread_id:
-            name = f"({self.thread_name})" if self.thread_name else ""
-            parts.append(f"thread={self.thread_id}{name}")
-        if self.task_name:
-            parts.append(f"task={self.task_name}")
-        return " ".join(parts) if parts else "main"
+        return context_label(
+            self.pid, self.thread_id, self.thread_name, self.task_name
+        )
 
 
 @dataclass(frozen=True)
@@ -340,107 +355,45 @@ class ProfileResult:
         written before those tokens existed (plain 5/6-column lines)
         still parse.
 
-        Energy fields are validated: a NaN, infinite or negative
-        ``package_joules``/``core_joules`` value raises a line-numbered
-        :class:`ValueError` instead of silently propagating into
-        aggregates.  Unparseable numeric fields are line-numbered too.
-
-        Structure is parsed line by line, but the numeric columns are
-        converted in one batch — vectorized with numpy when available,
-        per-value ``float()`` otherwise; both conversions are
-        correctly-rounded, so the records are identical either way.
+        Malformed files raise a line-numbered :class:`ResultFileError`
+        (see :func:`parse_result_txt`).  The numeric columns are
+        converted in one numpy batch when numpy is available, per-value
+        ``float()`` otherwise; the records are identical either way.
         """
-        from repro.profiler import fastpath
+        from repro.profiler.fastpath import numpy_or_none
 
-        result = cls()
-        linenos: list[int] = []
-        rows: list[tuple[str, bool, int, str, str, int]] = []
-        raw: dict[str, list[str]] = {
-            "wall_seconds": [],
-            "cpu_seconds": [],
-            "package_joules": [],
-            "core_joules": [],
-        }
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-            if not line or line.startswith("#"):
-                stripped = line.strip().lower()
-                if stripped == "# degraded=true":
-                    result.degraded = True
-                elif stripped.startswith("# overhead "):
-                    result.overhead = _parse_overhead_comment(line)
-                elif stripped.startswith("# dropped "):
-                    fields = dict(
-                        part.split("=", 1)
-                        for part in line[1:].split()[1:]
-                        if "=" in part
-                    )
-                    try:
-                        result.dropped_events = int(fields.get("events", 0))
-                        result.dropped_threads = int(fields.get("threads", 0))
-                    except ValueError:
-                        pass
-                continue
-            parts = line.split("\t")
-            if len(parts) < 5:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 5 or more tab-separated "
-                    f"fields, got {len(parts)}"
-                )
-            method, wall, cpu, pkg, core = parts[:5]
-            suspect = False
-            thread_id = 0
-            thread_name = ""
-            task_name = ""
-            pid = 0
-            for token in parts[5:]:
-                if token == "suspect":
-                    suspect = True
-                elif token.startswith("thread="):
-                    thread_id = int(token[7:])
-                elif token.startswith("tname="):
-                    thread_name = token[6:]
-                elif token.startswith("task="):
-                    task_name = token[5:]
-                elif token.startswith("pid="):
-                    pid = int(token[4:])
-                else:
-                    raise ValueError(
-                        f"{path}:{lineno}: unrecognised field {token!r}"
-                    )
-            linenos.append(lineno)
-            rows.append((method, suspect, thread_id, thread_name, task_name, pid))
-            raw["wall_seconds"].append(wall)
-            raw["cpu_seconds"].append(cpu)
-            raw["package_joules"].append(pkg)
-            raw["core_joules"].append(core)
-
-        values = fastpath.parse_float_columns(raw, linenos, path)
-        if values is None:
-            values = _parse_float_columns_pure(raw, linenos, path)
-
-        walls = values["wall_seconds"]
-        cpus = values["cpu_seconds"]
-        pkgs = values["package_joules"]
-        cores = values["core_joules"]
-        # Running per-method execution counter: computing call_index
-        # with a scan over the records parsed so far is quadratic and
-        # makes big result.txt files (one line per execution) crawl.
-        counts: dict[str, int] = {}
+        parsed = parse_result_txt(path, np=numpy_or_none())
+        result = cls(degraded=parsed.degraded)
+        result.overhead = parsed.overhead
+        result.dropped_events = parsed.dropped_events
+        result.dropped_threads = parsed.dropped_threads
+        floats = [
+            column if isinstance(column, list) else column.tolist()
+            for column in (
+                parsed.wall, parsed.cpu, parsed.package, parsed.core
+            )
+        ]
+        methods = parsed.methods
+        contexts = parsed.contexts
         records = result._records
-        for i, (method, suspect, thread_id, thread_name, task_name, pid) in (
-            enumerate(rows)
+        package, pp0 = Domain.PACKAGE, Domain.PP0
+        for code, context, call_index, suspect, wall, cpu, pkg, core in zip(
+            parsed.method_code,
+            parsed.context_code,
+            parsed.call_index,
+            parsed.suspect,
+            *floats,
         ):
-            call_index = counts.get(method, 0)
-            counts[method] = call_index + 1
+            pid, thread_id, thread_name, task_name = contexts[context]
             records.append(
                 MethodRecord(
-                    method=method,
+                    method=methods[code],
                     filename="",
                     lineno=0,
                     call_index=call_index,
-                    wall_seconds=walls[i],
-                    cpu_seconds=cpus[i],
-                    joules={Domain.PACKAGE: pkgs[i], Domain.PP0: cores[i]},
+                    wall_seconds=wall,
+                    cpu_seconds=cpu,
+                    joules={package: pkg, pp0: core},
                     exclusive_joules={},
                     suspect=suspect,
                     thread_id=thread_id,
@@ -492,30 +445,157 @@ def aggregate_records_pure(
     ]
 
 
-def _parse_float_columns_pure(
-    columns: dict[str, list[str]], linenos: list[int], path: str | Path
-) -> dict[str, list[float]]:
-    """Numpy-free numeric conversion + energy validation (same errors)."""
-    from repro.profiler.fastpath import validate_energy
+@dataclass
+class ResultFile:
+    """One parsed ``result.txt``: header facts plus per-row columns.
 
-    energy = ("package_joules", "core_joules")
-    out: dict[str, list[float]] = {}
-    for name, raw in columns.items():
-        check = name in energy
-        values: list[float] = []
-        for i, token in enumerate(raw):
-            try:
-                value = float(token)
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{linenos[i]}: could not parse "
-                    f"{name} value {token!r}"
-                ) from None
-            if check:
-                validate_energy(value, token, name, path, linenos[i])
-            values.append(value)
-        out[name] = values
-    return out
+    ``methods`` and ``contexts`` are interned tables in first-seen
+    order (contexts as ``(pid, thread_id, thread_name, task_name)``,
+    the argument order of :func:`context_label`);
+    ``method_code``/``context_code`` index into them row by row.  The
+    four float columns are numpy arrays when the parse was given numpy,
+    lists of floats otherwise.
+    """
+
+    degraded: bool = False
+    dropped_events: int = 0
+    dropped_threads: int = 0
+    overhead: "OverheadEstimate | None" = None
+    methods: list[str] = field(default_factory=list)
+    contexts: list[tuple[int, int, str, str]] = field(default_factory=list)
+    method_code: list[int] = field(default_factory=list)
+    context_code: list[int] = field(default_factory=list)
+    call_index: list[int] = field(default_factory=list)
+    suspect: list[bool] = field(default_factory=list)
+    wall: Sequence[float] = ()
+    cpu: Sequence[float] = ()
+    package: Sequence[float] = ()
+    core: Sequence[float] = ()
+
+
+def parse_result_txt(path: str | Path, np=None) -> ResultFile:
+    """Read a ``result.txt`` once into a :class:`ResultFile`.
+
+    The one reader of the format :meth:`ProfileResult.write_result_txt`
+    writes.  Comment lines carry the header facts (``# degraded=true``,
+    ``# dropped``, ``# overhead``) wherever they appear; each data line
+    holds five tab-separated core columns plus optional ``suspect`` and
+    ``thread=``/``tname=``/``task=``/``pid=`` tokens.  Files written
+    before those tokens existed (plain 5/6-column lines) still parse.
+    Methods and contexts are interned and ``call_index`` counted in the
+    same loop; the numeric columns are converted in one batch by
+    :func:`repro.profiler.fastpath.parse_float_columns` (numpy arrays
+    with ``np``, float lists without).
+
+    Every malformation raises a :class:`ResultFileError` naming the
+    path and line: too few fields, an unknown token, an unparseable
+    number, a NaN/infinite/negative energy value, and a last line with
+    no trailing newline — the writer always ends the file with one, so
+    its absence means a torn write.
+    """
+    from repro.profiler.fastpath import parse_float_columns
+
+    text = Path(path).read_text()
+    lines = text.splitlines()
+    if text and not text.endswith("\n"):
+        raise ResultFileError(
+            f"{path}:{len(lines)}: truncated line (no trailing newline)"
+        )
+    parsed = ResultFile()
+    method_ids: dict[str, int] = {}
+    context_ids: dict[tuple[int, int, str, str], int] = {}
+    # Running per-method execution counter, indexed by method code.
+    counts: list[int] = []
+    linenos: list[int] = []
+    raw: dict[str, list[str]] = {name: [] for name in _FLOAT_COLUMNS}
+    raw_wall, raw_cpu, raw_pkg, raw_core = raw.values()
+    method_code = parsed.method_code
+    context_code = parsed.context_code
+    call_index = parsed.call_index
+    suspects = parsed.suspect
+    read_comment = _read_comment
+    int_token = _int_token
+    for lineno, line in enumerate(lines, 1):
+        if not line or line.startswith("#"):
+            read_comment(line, parsed)
+            continue
+        parts = line.split("\t")
+        if len(parts) < 5:
+            raise ResultFileError(
+                # pepo: ignore[R04_GLOBAL_IN_LOOP] raised once, on exit
+                f"{path}:{lineno}: expected 5 or more tab-separated "
+                f"fields, got {len(parts)}"
+            )
+        method, wall, cpu, pkg, core = parts[:5]
+        suspect = False
+        context = (0, 0, "", "")
+        if len(parts) > 5:
+            pid = thread_id = 0
+            thread_name = task_name = ""
+            for token in parts[5:]:
+                if token == "suspect":
+                    suspect = True
+                elif token.startswith("thread="):
+                    thread_id = int_token(token[7:], "thread", path, lineno)
+                elif token.startswith("tname="):
+                    thread_name = token[6:]
+                elif token.startswith("task="):
+                    task_name = token[5:]
+                elif token.startswith("pid="):
+                    pid = int_token(token[4:], "pid", path, lineno)
+                else:
+                    raise ResultFileError(
+                        # pepo: ignore[R04_GLOBAL_IN_LOOP] raised once, on exit
+                        f"{path}:{lineno}: unrecognised field {token!r}"
+                    )
+            context = (pid, thread_id, thread_name, task_name)
+        code = method_ids.setdefault(method, len(method_ids))
+        if code == len(counts):
+            counts.append(0)
+        call_index.append(counts[code])
+        counts[code] += 1
+        method_code.append(code)
+        context_code.append(context_ids.setdefault(context, len(context_ids)))
+        suspects.append(suspect)
+        linenos.append(lineno)
+        raw_wall.append(wall)
+        raw_cpu.append(cpu)
+        raw_pkg.append(pkg)
+        raw_core.append(core)
+    parsed.methods = list(method_ids)
+    parsed.contexts = list(context_ids)
+    parsed.wall, parsed.cpu, parsed.package, parsed.core = (
+        parse_float_columns(raw, linenos, path, np=np).values()
+    )
+    return parsed
+
+
+def _int_token(value: str, name: str, path: str | Path, lineno: int) -> int:
+    """An integer ``thread=``/``pid=`` value, or a line-numbered error."""
+    try:
+        return int(value)
+    except ValueError:
+        raise ResultFileError(
+            f"{path}:{lineno}: could not parse {name} value {value!r}"
+        ) from None
+
+
+def _read_comment(line: str, parsed: ResultFile) -> None:
+    """Fold one blank or ``#`` comment line's header fact into ``parsed``."""
+    stripped = line.strip().lower()
+    if stripped == "# degraded=true":
+        parsed.degraded = True
+    elif stripped.startswith("# overhead "):
+        parsed.overhead = _parse_overhead_comment(line)
+    elif stripped.startswith("# dropped "):
+        fields = dict(
+            part.split("=", 1) for part in line[1:].split()[1:] if "=" in part
+        )
+        try:
+            parsed.dropped_events = int(fields.get("events", 0))
+            parsed.dropped_threads = int(fields.get("threads", 0))
+        except ValueError:
+            pass
 
 
 def _parse_overhead_comment(line: str) -> "OverheadEstimate | None":

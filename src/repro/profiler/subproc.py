@@ -304,8 +304,9 @@ def _watch_sigterm(handler: object) -> None:
     def watch() -> None:
         # Keep process-directed SIGTERMs on the main thread.
         signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+        read = os.read
         while True:
-            data = os.read(read_fd, 64)
+            data = read(read_fd, 64)
             if not data:
                 return
             if signal.SIGTERM in data:

@@ -13,7 +13,10 @@ Unlike the profiler fast paths, this module requires numpy outright
 (``repro.store`` is an analytics layer, not a measurement layer) and is
 not subject to the ``PEPO_PURE_PYTHON`` gate — that variable switches
 the *profiler* onto its fallback loops for parity testing; the store
-has no fallback to switch to.
+has no fallback to switch to.  ``result.txt`` files are read by the
+profiler's own parser, :func:`repro.profiler.records.parse_result_txt`,
+called with numpy: :meth:`RunColumns.from_result_file` only labels the
+contexts and wraps the parsed lists as arrays.
 """
 
 from __future__ import annotations
@@ -33,11 +36,15 @@ from repro.profiler.fastpath import (
     ProfileColumns,
     aggregate_columns,
     build_columns,
-    invalid_energy_message,
 )
+from repro.profiler.records import context_label, parse_result_txt
 
 if TYPE_CHECKING:
-    from repro.profiler.records import MethodAggregate, MethodRecord
+    from repro.profiler.records import (
+        MethodAggregate,
+        MethodRecord,
+        ResultFile,
+    )
 
 
 #: Numeric columns persisted in a ``.npz`` segment, in schema order.
@@ -52,8 +59,6 @@ SEGMENT_FIELDS = (
     "exclusive_package",
     "suspect",
 )
-
-_ENERGY_COLUMNS = ("package_joules", "core_joules")
 
 
 class RunColumns(ProfileColumns):
@@ -75,87 +80,40 @@ class RunColumns(ProfileColumns):
 
     @classmethod
     def from_result_txt(cls, path: str | Path) -> "RunColumns":
-        """Single-pass ``result.txt`` → columns, no record objects.
+        """``result.txt`` → columns, no record objects."""
+        return cls.from_result_file(parse_result_txt(path, np=np))
 
-        Parses the same format (and enforces the same line-numbered
-        NaN/negative energy rejection) as
-        :meth:`ProfileResult.read_result_txt`, but folds straight into
-        interned codes and raw string columns, deferring all float
-        conversion to one vectorized batch — the ingest path for files
-        and subprocess spools.
+    @classmethod
+    def from_result_file(cls, parsed: "ResultFile") -> "RunColumns":
+        """Columns from a :func:`parse_result_txt` result parsed with numpy.
+
+        The parse already interned the methods, counted ``call_index``
+        and converted the floats; this only maps each context token
+        tuple to its label (merging any tuples that share one) and
+        wraps the lists as arrays.
         """
-        path = Path(path)
-        method_ids: dict[str, int] = {}
-        context_ids: dict[str, int] = {}
-        mcodes: list[int] = []
-        ccodes: list[int] = []
-        suspect: list[bool] = []
-        raw_wall: list[str] = []
-        raw_cpu: list[str] = []
-        raw_pkg: list[str] = []
-        raw_core: list[str] = []
-        linenos: list[int] = []
-        for lineno, line in enumerate(path.read_text().splitlines(), 1):
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) < 5:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 5 or more tab-separated "
-                    f"fields, got {len(parts)}"
-                )
-            method, wall, cpu, pkg, core = parts[:5]
-            is_suspect = False
-            thread_id = 0
-            thread_name = ""
-            task_name = ""
-            pid = 0
-            for token in parts[5:]:
-                if token == "suspect":
-                    is_suspect = True
-                elif token.startswith("thread="):
-                    thread_id = int(token[7:])
-                elif token.startswith("tname="):
-                    thread_name = token[6:]
-                elif token.startswith("task="):
-                    task_name = token[5:]
-                elif token.startswith("pid="):
-                    pid = int(token[4:])
-                else:
-                    raise ValueError(
-                        f"{path}:{lineno}: unrecognised field {token!r}"
-                    )
-            mcodes.append(method_ids.setdefault(method, len(method_ids)))
-            ccodes.append(
-                context_ids.setdefault(
-                    _context_label(pid, thread_id, thread_name, task_name),
-                    len(context_ids),
-                )
-            )
-            suspect.append(is_suspect)
-            raw_wall.append(wall)
-            raw_cpu.append(cpu)
-            raw_pkg.append(pkg)
-            raw_core.append(core)
-            linenos.append(lineno)
-
-        method_code = np.asarray(mcodes, dtype=np.int32)
-        wall_arr = _float_column(raw_wall, "wall_seconds", path, linenos)
-        cpu_arr = _float_column(raw_cpu, "cpu_seconds", path, linenos)
-        pkg_arr = _float_column(raw_pkg, "package_joules", path, linenos)
-        core_arr = _float_column(raw_core, "core_joules", path, linenos)
+        label_ids: dict[str, int] = {}
+        to_label = np.asarray(
+            [
+                label_ids.setdefault(context_label(*ctx), len(label_ids))
+                for ctx in parsed.contexts
+            ],
+            dtype=np.int32,
+        )
         return cls(
-            methods=list(method_ids),
-            contexts=list(context_ids),
-            method_code=method_code,
-            context_code=np.asarray(ccodes, dtype=np.int32),
-            call_index=_cumcount(method_code),
-            wall=wall_arr,
-            cpu=cpu_arr,
-            package=pkg_arr,
-            core=core_arr,
-            exclusive_package=np.zeros(len(mcodes), dtype=np.float64),
-            suspect=np.asarray(suspect, dtype=bool),
+            methods=parsed.methods,
+            contexts=list(label_ids),
+            method_code=np.asarray(parsed.method_code, dtype=np.int32),
+            context_code=to_label[
+                np.asarray(parsed.context_code, dtype=np.intp)
+            ],
+            call_index=np.asarray(parsed.call_index, dtype=np.int64),
+            wall=parsed.wall,
+            cpu=parsed.cpu,
+            package=parsed.package,
+            core=parsed.core,
+            exclusive_package=np.zeros(len(parsed.suspect), dtype=np.float64),
+            suspect=np.asarray(parsed.suspect, dtype=bool),
         )
 
     # -- .npz round trip ----------------------------------------------
@@ -258,65 +216,3 @@ def concat_columns(segments: Iterable[RunColumns]) -> RunColumns | None:
     return RunColumns(
         methods=first.methods, contexts=first.contexts, **arrays
     )
-
-
-def _context_label(
-    pid: int, thread_id: int, thread_name: str, task_name: str
-) -> str:
-    """``MethodRecord.context_label`` reconstructed without a record."""
-    parts = []
-    if pid:
-        parts.append(f"pid={pid}")
-    if thread_id:
-        name = f"({thread_name})" if thread_name else ""
-        parts.append(f"thread={thread_id}{name}")
-    if task_name:
-        parts.append(f"task={task_name}")
-    return " ".join(parts) if parts else "main"
-
-
-def _float_column(
-    raw: list[str], name: str, path: Path, linenos: list[int]
-) -> "np.ndarray":
-    """Batch str→float64 with the shared line-numbered energy validation."""
-    try:
-        values = np.asarray(raw, dtype=np.float64)
-    except ValueError:
-        for i, token in enumerate(raw):
-            try:
-                float(token)
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{linenos[i]}: could not parse "
-                    f"{name} value {token!r}"
-                ) from None
-        raise  # pragma: no cover - asarray failed, floats didn't
-    if name in _ENERGY_COLUMNS:
-        bad = ~np.isfinite(values) | (values < 0.0)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValueError(
-                invalid_energy_message(path, linenos[i], name, raw[i])
-            )
-    return values
-
-
-def _cumcount(codes: "np.ndarray") -> "np.ndarray":
-    """Per-code running occurrence counter (the ``call_index`` column).
-
-    Vectorized equivalent of the ``counts.get(method, 0)`` loop:
-    stable-sort the codes, number each group 0..k-1, scatter back.
-    """
-    n = codes.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    order = np.argsort(codes, kind="stable")
-    sorted_codes = codes[order]
-    starts = np.flatnonzero(
-        np.r_[True, sorted_codes[1:] != sorted_codes[:-1]]
-    )
-    lengths = np.diff(np.r_[starts, n])
-    within = np.arange(n) - np.repeat(starts, lengths)
-    out = np.empty(n, dtype=np.int64)
-    out[order] = within
-    return out

@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
+from repro.profiler.records import parse_result_txt
 from repro.store.columns import RunColumns, concat_columns
 
 if TYPE_CHECKING:
@@ -216,12 +217,12 @@ class RunStore:
     def ingest_result_txt(self, path: str | Path) -> RunInfo:
         """Single-pass ingest of one ``result.txt`` (no record objects)."""
         path = Path(path)
-        cols = RunColumns.from_result_txt(path)
+        parsed = parse_result_txt(path, np=np)
         return self._ingest_columns(
-            cols,
+            RunColumns.from_result_file(parsed),
             label=path.stem,
             source=str(path),
-            degraded=_degraded_header(path),
+            degraded=parsed.degraded,
         )
 
     def ingest_path(self, path: str | Path) -> list[RunInfo]:
@@ -561,17 +562,6 @@ class RunStore:
             matrix, methods, [r.label for r in runs], delta=delta,
             min_runs=min_runs,
         )
-
-
-def _degraded_header(path: Path) -> bool:
-    """Cheap scan of a result.txt's comment header for the degraded flag."""
-    with open(path) as handle:
-        for line in handle:
-            if not line.startswith("#"):
-                break
-            if line.strip().lower() == "# degraded=true":
-                return True
-    return False
 
 
 def _module_of(file: str) -> str:

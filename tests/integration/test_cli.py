@@ -169,6 +169,19 @@ class TestCompare:
             ["compare", str(before), str(clean_after), "--fail-on-regression"]
         ) == 0
 
+    def test_malformed_file_exits_2_without_traceback(
+        self, tmp_path, capsys
+    ):
+        before, _ = self._write_profiles(tmp_path)
+        bad = tmp_path / "bad.txt"
+        bad.write_text("# h\nm.hot\t0.5\t0.5\tnan\t3.5\n")
+        assert main(["compare", str(before), str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"pepo: {bad}:2: package_joules must be a finite non-negative "
+            "number, got 'nan'\n"
+        )
+
 
 class TestBench:
     def test_bench_table3(self, capsys):
@@ -492,6 +505,17 @@ class TestStoreCommands:
              "--store", str(tmp_path / "store")]
         ) == 2
         assert "pepo:" in capsys.readouterr().err
+
+    def test_ingest_malformed_file_exits_2_without_traceback(
+        self, tmp_path, capsys
+    ):
+        bad = tmp_path / "result.txt"
+        bad.write_text("# h\nm.f\t0.1\t0.1\t1.0\t0.5\tthread=abc\n")
+        assert main(
+            ["ingest", str(bad), "--store", str(tmp_path / "store")]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err == f"pepo: {bad}:2: could not parse thread value 'abc'\n"
 
     def test_store_stats_and_runs(self, tmp_path, capsys):
         store = tmp_path / "store"

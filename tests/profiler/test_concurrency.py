@@ -519,6 +519,20 @@ class TestSubprocessCapture:
         assert all(r.pid != os.getpid() for r in child_records)
         assert any("_pool_leaf_traced" in r.method for r in child_records)
 
+    def test_collect_skips_a_torn_spool_file(self):
+        # A child killed mid-write leaves a spool with no trailing
+        # newline; the parent keeps the intact spools and drops it.
+        capture = SubprocessCapture()
+        capture.activate()
+        try:
+            spool = capture.spool_dir
+            line = "m.f\t1.0\t0.8\t10.0\t7.0"
+            (spool / "pepo-101-1.result.txt").write_text(line + "\n")
+            (spool / "pepo-102-1.result.txt").write_text(line[:-2])
+        finally:
+            collected = capture.collect()
+        assert [(pid, len(result)) for pid, result in collected] == [(101, 1)]
+
     def test_fork_children_bootstrap_without_initializer(self):
         # A plain fork Pool inside the profiled code never calls
         # maybe_bootstrap itself; the os.register_at_fork hook installed

@@ -4,7 +4,12 @@ import time
 
 import pytest
 
-from repro.profiler.records import MethodAggregate, MethodRecord, ProfileResult
+from repro.profiler.records import (
+    MethodAggregate,
+    MethodRecord,
+    ProfileResult,
+    ResultFileError,
+)
 from repro.rapl.domains import Domain
 
 
@@ -202,4 +207,36 @@ class TestResultTxt:
         )
         loaded = ProfileResult.read_result_txt(path)
         assert loaded.overhead is None
+        assert len(loaded) == 1
+
+    @pytest.mark.parametrize("token", ["thread", "pid"])
+    def test_non_integer_context_token_names_path_and_line(
+        self, tmp_path, token
+    ):
+        path = tmp_path / "result.txt"
+        path.write_text(
+            "# method\twall\tcpu\tpkg\tcore\n"
+            f"f\t0.1\t0.1\t1.0\t0.5\t{token}=abc\n"
+        )
+        with pytest.raises(ResultFileError) as excinfo:
+            ProfileResult.read_result_txt(path)
+        assert str(excinfo.value) == (
+            f"{path}:2: could not parse {token} value 'abc'"
+        )
+
+    def test_truncated_last_line_rejected(self, tmp_path):
+        # A write torn inside a number must not parse as a shorter one.
+        path = tmp_path / "result.txt"
+        path.write_text("m.f\t1.0\t0.8\t10.0\t7.0\nm.f\t1.0\t0.8\t10.0\t0.")
+        with pytest.raises(ResultFileError) as excinfo:
+            ProfileResult.read_result_txt(path)
+        assert str(excinfo.value) == (
+            f"{path}:2: truncated line (no trailing newline)"
+        )
+
+    def test_degraded_flag_after_data_lines(self, tmp_path):
+        path = tmp_path / "result.txt"
+        path.write_text("m.f\t1.0\t0.8\t10.0\t7.0\n\n# degraded=true\n")
+        loaded = ProfileResult.read_result_txt(path)
+        assert loaded.degraded
         assert len(loaded) == 1

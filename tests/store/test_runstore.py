@@ -94,6 +94,21 @@ class TestIngest:
         assert info.degraded
         assert store.runs()[0].degraded
 
+    def test_degraded_flag_after_data_line_matches_reader(
+        self, store, tmp_path
+    ):
+        # The flag is a header fact wherever the comment sits; the store
+        # and the reader take it from the same parse.
+        path = tmp_path / "result.txt"
+        path.write_text(
+            "# method\twall\tcpu\tpkg\tcore\n"
+            "m.f\t1.0\t0.8\t10.0\t7.0\n"
+            "# degraded=true\n"
+        )
+        info = store.ingest_result_txt(path)
+        assert info.degraded == ProfileResult.read_result_txt(path).degraded
+        assert info.degraded
+
     def test_global_interning_across_runs(self, store):
         store.ingest_result(_result(6, module="pkg.a"), label="a")
         store.ingest_result(_result(7, module="pkg.b"), label="b")
