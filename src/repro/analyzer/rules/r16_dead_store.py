@@ -21,6 +21,40 @@ def _is_trivial(value: ast.expr) -> bool:
     return isinstance(value, (ast.Constant, ast.Name))
 
 
+#: Statement fields that hold nested statement lists (``handlers`` and
+#: ``cases`` hold handlers/match cases, whose ``body`` is walked next).
+_BLOCK_FIELDS = ("body", "orelse", "finalbody", "handlers", "cases")
+
+
+def _has_candidate(func: ast.AST) -> bool:
+    """True when some statement under ``func`` could be reported.
+
+    A candidate is an assignment R16 would keep after liveness: one
+    ``Name`` target, not ``_``-prefixed, and a non-trivial value.  The
+    walk covers nested defs and classes too, so this is a necessary
+    condition only; its point is to skip the CFG and liveness solve
+    for the many functions that hold no candidate at all.
+    """
+    assign, name, is_trivial = ast.Assign, ast.Name, _is_trivial
+    block_fields = _BLOCK_FIELDS
+    stack: list[ast.AST] = list(func.body)
+    while stack:
+        stmt = stack.pop()
+        if isinstance(stmt, assign):
+            targets = stmt.targets
+            if (
+                len(targets) == 1
+                and isinstance(targets[0], name)
+                and not targets[0].id.startswith("_")
+                and not is_trivial(stmt.value)
+            ):
+                return True
+            continue
+        for field in block_fields:
+            stack.extend(getattr(stmt, field, ()))
+    return False
+
+
 class DeadStoreRule(Rule):
     rule_id = "R16_DEAD_STORE"
     interested_types = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -31,6 +65,8 @@ class DeadStoreRule(Rule):
 
     def check(self, node: ast.AST, ctx: AnalysisContext) -> Iterator[Finding]:
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return
+        if not _has_candidate(node):
             return
         for name, assign in ctx.semantics.dead_stores(node):
             # `_`-prefixed names are the deliberate-discard convention.

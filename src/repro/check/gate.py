@@ -49,17 +49,54 @@ def _rule_version(rule_id: str) -> int:
     return 1
 
 
-def _relative_file(file: str, root: str | Path | None) -> str:
-    path = PurePath(file)
-    if root is not None:
-        try:
-            path = PurePath(file).relative_to(Path(root).resolve())
-        except ValueError:
-            try:
-                path = PurePath(file).relative_to(root)
-            except ValueError:
-                pass
-    return path.as_posix()
+class Fingerprinter:
+    """Fingerprints and scan-root-relative paths for one call.
+
+    Built once per ``evaluate``/baseline/SARIF export, it resolves
+    ``root`` once and memoizes each distinct file's relative path and
+    each rule's version, so a call costs one hash per finding rather
+    than a filesystem ``resolve`` and several path objects each.  The
+    memo lives only as long as the instance: a rule whose version is
+    bumped between two calls gets fresh fingerprints in the second.
+    """
+
+    def __init__(self, root: str | Path | None = None) -> None:
+        self._root = root
+        self._resolved = Path(root).resolve() if root is not None else None
+        self._files: dict[str, str] = {}
+        self._versions: dict[str, str] = {}
+
+    def relative_file(self, file: str) -> str:
+        relative = self._files.get(file)
+        if relative is None:
+            path = PurePath(file)
+            if self._root is not None:
+                try:
+                    path = path.relative_to(self._resolved)
+                except ValueError:
+                    try:
+                        path = path.relative_to(self._root)
+                    except ValueError:
+                        pass
+            relative = self._files[file] = path.as_posix()
+        return relative
+
+    def __call__(self, finding: Finding) -> str:
+        """Stable 16-hex-digit id for one finding (see
+        :func:`finding_fingerprint`)."""
+        rule_id = finding.rule_id
+        version = self._versions.get(rule_id)
+        if version is None:
+            version = self._versions[rule_id] = str(_rule_version(rule_id))
+        payload = "\x1f".join(
+            (
+                rule_id,
+                version,
+                self.relative_file(finding.file),
+                normalize_snippet(finding.snippet),
+            )
+        )
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
 def finding_fingerprint(
@@ -70,17 +107,10 @@ def finding_fingerprint(
     ``root`` relativizes the path so baselines recorded in one checkout
     match findings from another.  The rule's registered version is
     part of the hash, so a revised rule never inherits stale
-    suppressions.
+    suppressions.  To fingerprint many findings, build one
+    :class:`Fingerprinter` and call it per finding.
     """
-    payload = "\x1f".join(
-        (
-            finding.rule_id,
-            str(_rule_version(finding.rule_id)),
-            _relative_file(finding.file, root),
-            normalize_snippet(finding.snippet),
-        )
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+    return Fingerprinter(root)(finding)
 
 
 @dataclass
@@ -125,9 +155,10 @@ class Baseline:
         findings_by_file: Mapping[str, Iterable[Finding]],
         root: str | Path | None = None,
     ) -> "Baseline":
+        fingerprint = Fingerprinter(root)
         return cls(
             fingerprints=frozenset(
-                finding_fingerprint(finding, root)
+                fingerprint(finding)
                 for findings in findings_by_file.values()
                 for finding in findings
             ),
@@ -184,11 +215,10 @@ def evaluate(
     }
     new: list[Finding] = []
     baselined: list[Finding] = []
+    fingerprint = Fingerprinter(root)
     for findings in ordered.values():
         for finding in findings:
-            if baseline is not None and finding_fingerprint(
-                finding, root
-            ) in baseline:
+            if baseline is not None and fingerprint(finding) in baseline:
                 baselined.append(finding)
             else:
                 new.append(finding)

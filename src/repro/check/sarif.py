@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from repro.analyzer.findings import Finding, Severity
-from repro.check.gate import _relative_file, finding_fingerprint
+from repro.check.gate import Fingerprinter
 
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA_URI = (
@@ -77,9 +77,11 @@ def to_sarif(
     }
     all_findings = [f for findings in ordered.values() for f in findings]
     rule_ids = [entry["id"] for entry in _rule_entries(all_findings)]
+    fingerprint = Fingerprinter(root)
+    fingerprint_key = FINGERPRINT_KEY
     results = []
     for file, findings in ordered.items():
-        uri = _relative_file(file, root)
+        uri = fingerprint.relative_file(file)
         for finding in findings:
             results.append(
                 {
@@ -106,7 +108,7 @@ def to_sarif(
                         }
                     ],
                     "partialFingerprints": {
-                        FINGERPRINT_KEY: finding_fingerprint(finding, root)
+                        fingerprint_key: fingerprint(finding)
                     },
                     "properties": {
                         "confidence": finding.confidence,
@@ -145,8 +147,8 @@ def to_sarif(
                             {
                                 "physicalLocation": {
                                     "artifactLocation": {
-                                        "uri": _relative_file(
-                                            entry.path, root
+                                        "uri": fingerprint.relative_file(
+                                            entry.path
                                         )
                                     }
                                 }

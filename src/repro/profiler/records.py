@@ -339,7 +339,7 @@ class ProfileResult:
             if r.pid:
                 line += f"\tpid={r.pid}"
             lines.append(line)
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         return path
 
     @classmethod
@@ -487,17 +487,29 @@ def parse_result_txt(path: str | Path, np=None) -> ResultFile:
     :func:`repro.profiler.fastpath.parse_float_columns` (numpy arrays
     with ``np``, float lists without).
 
-    Every malformation raises a :class:`ResultFileError` naming the
-    path and line: too few fields, an unknown token, an unparseable
+    The file is UTF-8, as the writer writes it.  Every malformation
+    raises a :class:`ResultFileError` naming the path and line: a byte
+    that is not UTF-8, too few fields, an unknown token, an unparseable
     number, a NaN/infinite/negative energy value, and a last line with
     no trailing newline — the writer always ends the file with one, so
     its absence means a torn write.
     """
     from repro.profiler.fastpath import parse_float_columns
 
-    text = Path(path).read_text()
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as error:
+        # The bad byte's line, numbered as ``splitlines`` numbers below.
+        before = data[: error.start].decode("utf-8")
+        lineno = len((before + "x").splitlines())
+        raise ResultFileError(
+            f"{path}:{lineno}: not UTF-8 "
+            f"(byte 0x{data[error.start]:02x}: {error.reason})"
+        ) from None
     lines = text.splitlines()
-    if text and not text.endswith("\n"):
+    # A final bare CR ends the last line too, as in text-mode reads.
+    if text and not text.endswith(("\n", "\r")):
         raise ResultFileError(
             f"{path}:{len(lines)}: truncated line (no trailing newline)"
         )

@@ -33,14 +33,26 @@ _CAPTURE_UNITS = frozenset(
 
 
 class _FlowUnit:
-    """CFG + dataflow bundle for one code unit, built lazily."""
+    """CFG + dataflow bundle for one code unit.
+
+    The CFG is built with the unit; each solver over it builds on its
+    first query: ``reaching`` (reaching definitions) on the first
+    access, ``typeflow(types)`` (per-point type states) on the first
+    call, ``liveness(always_live)`` likewise.  A unit whose only
+    consumer is R16 therefore pays for the CFG and liveness alone.
+
+    A unit holds no reference back to its :class:`SemanticModel`: the
+    model owns its units, and a ``model → unit → model`` cycle would
+    keep every tree alive until the cyclic collector ran.  Facts a
+    solver needs from the model (the :class:`TypeTable`) are passed in
+    at query time instead.
+    """
 
     def __init__(
         self,
         unit_node: ast.AST,
         unit_scope: Scope,
         scopes: ScopeTable,
-        types: TypeTable,
     ) -> None:
         self.node = unit_node
         self.scope = unit_scope
@@ -58,19 +70,32 @@ class _FlowUnit:
                 *([args.kwarg] if args.kwarg else []),
             ]
         self.cfg: CFG = build_cfg(unit_node, body)
+        self._params = params
+        self._scopes = scopes
         # One binding/use extraction memo shared by all three analyses:
         # each event's subtree is walked once per unit, not once per
         # analysis (and not once per fixpoint iteration).
-        effects = EventEffects(unit_scope, scopes)
-        self.reaching = ReachingDefinitions(
-            self.cfg, unit_scope, scopes, params, effects
-        )
-        self.typeflow = TypeFlow(
-            self.cfg, unit_scope, scopes, types, params, effects
-        )
-        self._scopes = scopes
-        self._effects = effects
+        self._effects = EventEffects(unit_scope, scopes)
+        self._reaching: ReachingDefinitions | None = None
+        self._typeflow: TypeFlow | None = None
         self._liveness: Liveness | None = None
+
+    @property
+    def reaching(self) -> ReachingDefinitions:
+        if self._reaching is None:
+            self._reaching = ReachingDefinitions(
+                self.cfg, self.scope, self._scopes, self._params,
+                self._effects,
+            )
+        return self._reaching
+
+    def typeflow(self, types: TypeTable) -> TypeFlow:
+        if self._typeflow is None:
+            self._typeflow = TypeFlow(
+                self.cfg, self.scope, self._scopes, types, self._params,
+                self._effects,
+            )
+        return self._typeflow
 
     def liveness(self, always_live: frozenset[str]) -> Liveness:
         if self._liveness is None:
@@ -94,14 +119,19 @@ class SemanticModel:
 
     Every layer is lazy: the scope table builds on the first
     ``resolve``/``scope_of`` query, the type table on the first
-    ``type_of``, hotness on the first ``loop_depth``; a per-function
-    CFG + dataflow unit materializes on the first
-    ``type_at``/``defs_reaching`` query against that function, and the
+    ``type_of``, hotness on the first ``loop_depth``, and the
     purity/call-graph pass on the first ``is_pure``/``call_hotness``
-    query — so files whose rules are all pre-filtered away (or whose
-    findings never need flow facts) pay only ``ast.parse``.  Pass
-    ``eager=True`` to force the scope/type/hotness tables up front (the
-    ``cold-project`` benchmark's oracle and probe run this way).
+    query.  A function's CFG builds on the first flow query against
+    it, and each solver over that CFG on the first query that reads
+    it: reaching definitions on ``defs_reaching``, type flow (and with
+    it the module type table) on ``type_at``, liveness on
+    ``dead_stores``.  Files whose rules are all pre-filtered away (or
+    whose findings never need flow facts) pay only ``ast.parse``.
+    :meth:`flow_unit` and :meth:`materialize` still return fully
+    solved units, so the metrics and benches that call them measure
+    the whole flow layer.  Pass ``eager=True`` to force the
+    scope/type/hotness tables up front (the ``cold-project``
+    benchmark's oracle and probe run this way).
     """
 
     def __init__(
@@ -190,7 +220,7 @@ class SemanticModel:
         """
         unit = self._unit_for(node)
         if unit is not None:
-            flow_type = unit.typeflow.type_at(node)
+            flow_type = unit.typeflow(self.types).type_at(node)
             if flow_type is not None:
                 return flow_type
         return self.types.type_of(node)
@@ -266,8 +296,13 @@ class SemanticModel:
         return unit.cfg if unit is not None else None
 
     def flow_unit(self, node: ast.AST) -> _FlowUnit | None:
-        """The full dataflow bundle for a unit node (metrics/facts)."""
-        return self._unit_of(node)
+        """The full dataflow bundle for a unit node (metrics/facts),
+        with reaching definitions and type flow solved."""
+        unit = self._unit_of(node)
+        if unit is not None:
+            unit.reaching
+            unit.typeflow(self.types)
+        return unit
 
     # -- purity / call-graph facts ----------------------------------------
 
@@ -355,7 +390,7 @@ class SemanticModel:
             )
             if scope is None:
                 return None
-            unit = _FlowUnit(unit_node, scope, self.scopes, self.types)
+            unit = _FlowUnit(unit_node, scope, self.scopes)
             self._units[key] = unit
         return unit
 
@@ -423,9 +458,9 @@ class SemanticModel:
             cursor += 1
             queue.extend(child_nodes(node))
             if isinstance(node, _FUNCTION_NODES):
-                if self._unit_of(node) is not None:
+                if self.flow_unit(node) is not None:
                     units += 1
-        self._unit_of(self.tree)
+        self.flow_unit(self.tree)
         purity = self.purity
         return {
             "function_units": units,

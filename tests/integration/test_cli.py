@@ -183,6 +183,18 @@ class TestCompare:
         )
 
 
+    def test_non_utf8_file_exits_2_without_traceback(
+        self, tmp_path, capsys
+    ):
+        before, _ = self._write_profiles(tmp_path)
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"# h\nm.hot\t0.5\t0.5\t5\xff\t3.5\n")
+        assert main(["compare", str(before), str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"pepo: {bad}:2: not UTF-8 (byte 0xff: invalid start byte)\n"
+        )
+
 class TestBench:
     def test_bench_table3(self, capsys):
         assert main(["bench", "table3"]) == 0

@@ -1,6 +1,10 @@
 """Tests for MethodRecord/ProfileResult and the result.txt round trip."""
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -232,6 +236,42 @@ class TestResultTxt:
             ProfileResult.read_result_txt(path)
         assert str(excinfo.value) == (
             f"{path}:2: truncated line (no trailing newline)"
+        )
+
+    def test_round_trip_names_its_encoding(self, tmp_path):
+        # The file must read back on any host, so neither side may fall
+        # back to the locale encoding; -X warn_default_encoding turns
+        # such a fallback into an EncodingWarning, raised here.
+        script = (
+            "import sys\n"
+            "from repro.profiler.records import ProfileResult\n"
+            "from tests.profiler.test_records import record\n"
+            "path = ProfileResult([record('m.\\u00fcn\\u00ef')])"
+            ".write_result_txt(sys.argv[1])\n"
+            "assert ProfileResult.read_result_txt(path).methods() == "
+            "('m.\\u00fcn\\u00ef',)\n"
+            "assert 'm.\\u00fcn\\u00ef'.encode('utf-8') in path.read_bytes()\n"
+        )
+        root = Path(__file__).resolve().parents[2]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            (str(root / "src"), str(root))
+        ))
+        subprocess.run(
+            [
+                sys.executable, "-X", "warn_default_encoding",
+                "-W", "error::EncodingWarning", "-c", script,
+                str(tmp_path / "result.txt"),
+            ],
+            check=True, env=env, cwd=tmp_path,
+        )
+
+    def test_non_utf8_byte_names_path_and_line(self, tmp_path):
+        path = tmp_path / "result.txt"
+        path.write_bytes(b"# h\r\nm.f\t1.0\t0.8\t1\xff\t7.0\n")
+        with pytest.raises(ResultFileError) as excinfo:
+            ProfileResult.read_result_txt(path)
+        assert str(excinfo.value) == (
+            f"{path}:2: not UTF-8 (byte 0xff: invalid start byte)"
         )
 
     def test_degraded_flag_after_data_lines(self, tmp_path):
