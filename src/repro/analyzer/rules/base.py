@@ -2,24 +2,22 @@
 
 Every rule sees every AST node together with an :class:`AnalysisContext`
 describing where that node sits: enclosing function, loop nesting,
-module-level names, and which locals look string-typed.  Rules yield
-:class:`~repro.analyzer.findings.Finding` objects; the engine owns the
-traversal so each rule stays a small, testable pattern matcher.
+the module's semantic model, and which locals look string-typed.
+Rules yield :class:`~repro.analyzer.findings.Finding` objects; the
+engine owns the traversal so each rule stays a small, testable pattern
+matcher.
 """
 
 from __future__ import annotations
 
 import abc
 import ast
-import builtins
 from typing import TYPE_CHECKING, Iterator
 
 from repro.analyzer.findings import Finding, Severity, compute_confidence
 
 if TYPE_CHECKING:
     from repro.semantics import Binding, SemanticModel
-
-_BUILTIN_NAMES = frozenset(dir(builtins))
 
 #: The fact families a rule may declare in ``semantic_facts``.
 SEMANTIC_FACTS = frozenset(
@@ -31,15 +29,14 @@ class FunctionInfo:
     """Scope facts for one function, computed on first query.
 
     The engine creates one of these at every function entry, but most
-    functions never get an ``is_local``/``is_stringish`` question from
-    any rule — so the locals walk and the two string-propagation
-    passes run lazily, on the first access to :attr:`local_names` or
-    :attr:`string_locals`.  Both computations depend only on the
+    functions never get an ``is_stringish`` question from any rule —
+    so the two string-propagation passes run lazily, on the first
+    access to :attr:`string_locals`.  They depend only on the
     function's own subtree (never on traversal position), so deferring
     them cannot change any answer.
     """
 
-    __slots__ = ("node", "_ctx", "_local_names", "_string_locals")
+    __slots__ = ("node", "_ctx", "_string_locals")
 
     def __init__(
         self,
@@ -48,14 +45,7 @@ class FunctionInfo:
     ) -> None:
         self.node = node
         self._ctx = ctx
-        self._local_names: set[str] | None = None
         self._string_locals: set[str] | None = None
-
-    @property
-    def local_names(self) -> set[str]:
-        if self._local_names is None:
-            self._local_names = _collect_local_names(self.node)
-        return self._local_names
 
     @property
     def string_locals(self) -> set[str]:
@@ -90,7 +80,6 @@ class AnalysisContext:
         self.filename = filename
         self.source_lines = source.splitlines()
         self.tree = tree
-        self.module_names = collect_module_names(tree)
         self.loop_stack: list[ast.For | ast.While] = []
         self.function_stack: list[FunctionInfo] = []
         self.semantics = semantics or build_semantic_model(
@@ -110,18 +99,6 @@ class AnalysisContext:
     @property
     def current_function(self) -> FunctionInfo | None:
         return self.function_stack[-1] if self.function_stack else None
-
-    def is_local(self, name: str) -> bool:
-        fn = self.current_function
-        return fn is not None and name in fn.local_names
-
-    def is_module_global(self, name: str) -> bool:
-        """Name defined at module level and not shadowed locally."""
-        return (
-            name in self.module_names
-            and not self.is_local(name)
-            and name not in _BUILTIN_NAMES
-        )
 
     def is_stringish(self, node: ast.expr) -> bool:
         """Heuristic: does this expression evaluate to a str?"""
@@ -339,38 +316,6 @@ def collect_function_info(
 ) -> FunctionInfo:
     """Scope facts handle for a function (locals computed lazily)."""
     return FunctionInfo(node, ctx)
-
-
-def _collect_local_names(
-    node: ast.FunctionDef | ast.AsyncFunctionDef,
-) -> set[str]:
-    local_names: set[str] = set()
-    args = node.args
-    for arg in (
-        *args.posonlyargs, *args.args, *args.kwonlyargs,
-        *( [args.vararg] if args.vararg else [] ),
-        *( [args.kwarg] if args.kwarg else [] ),
-    ):
-        local_names.add(arg.arg)
-    for child in ast.walk(node):
-        if child is node:
-            continue
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            local_names.add(child.name)
-        elif isinstance(child, ast.Assign):
-            for target in child.targets:
-                local_names.update(target_names(target))
-        elif isinstance(child, (ast.AnnAssign, ast.AugAssign)):
-            local_names.update(target_names(child.target))
-        elif isinstance(child, ast.For):
-            local_names.update(target_names(child.target))
-        elif isinstance(child, ast.withitem) and child.optional_vars:
-            local_names.update(target_names(child.optional_vars))
-        elif isinstance(child, (ast.Import, ast.ImportFrom)):
-            local_names.update(_bound_names(child))
-        elif isinstance(child, ast.Global):
-            local_names.difference_update(child.names)
-    return local_names
 
 
 def _collect_string_locals(

@@ -9,6 +9,7 @@ once, then the measurements are stored for each execution."*
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
@@ -16,7 +17,6 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 from repro.rapl.domains import Domain
 
 if TYPE_CHECKING:
-    from repro.profiler.fastpath import ProfileColumns
     from repro.profiler.runtime import OverheadEstimate
 
 #: The numeric ``result.txt`` columns, in file order after the method.
@@ -161,35 +161,13 @@ class ProfileResult:
         #: timeline (per domain, modulo float rounding).
         self.timeline_joules: dict[Domain, float] = {}
         self.unattributed_joules: dict[Domain, float] = {}
-        #: Lazily built struct-of-arrays view over the records (see
-        #: :class:`repro.profiler.fastpath.ProfileColumns`).  Mutators
-        #: only *drop* it — rebuilding happens on the next aggregation
-        #: that needs it, so merging N children costs O(total records),
-        #: not O(N · records).
-        self._columns: "ProfileColumns | None" = None
 
     def add(self, record: MethodRecord) -> None:
         self._records.append(record)
-        self._columns = None
 
     def extend(self, records: Iterable[MethodRecord]) -> None:
         """Append many records at once (bulk path for deferred stop())."""
         self._records.extend(records)
-        self._columns = None
-
-    def columns(self) -> "ProfileColumns | None":
-        """The columnar view of the records, built (and cached) on demand.
-
-        ``None`` when numpy is unavailable or disabled via
-        ``PEPO_PURE_PYTHON`` — callers fall back to the pure loops.
-        The cache is invalidated by ``add``/``extend``/``merge``, never
-        eagerly rebuilt by them.
-        """
-        if self._columns is None or len(self._columns) != len(self._records):
-            from repro.profiler.fastpath import build_columns
-
-            self._columns = build_columns(self._records)
-        return self._columns
 
     def __len__(self) -> int:
         return len(self._records)
@@ -232,11 +210,6 @@ class ProfileResult:
         is given, records that still carry the default ``pid=0`` are
         stamped with it so their origin survives the merge.  Degraded
         state, drop counters and timeline accounting are combined.
-
-        The columnar aggregate cache is *dropped*, not rebuilt: merging
-        N subprocess spools costs O(total records) in list appends, and
-        the first aggregation after the last merge pays the single
-        column build.
         """
         if pid is None:
             self._records.extend(other._records)
@@ -245,7 +218,6 @@ class ProfileResult:
                 dataclasses.replace(r, pid=pid) if r.pid == 0 else r
                 for r in other._records
             )
-        self._columns = None
         self.degraded = self.degraded or other.degraded
         self.dropped_events += other.dropped_events
         self.dropped_threads += other.dropped_threads
@@ -266,24 +238,7 @@ class ProfileResult:
         are (method, execution context) pairs instead, so a method that
         runs on several threads/tasks/processes gets one row per
         context (the Fig. 4 view grown for concurrent targets).
-
-        With numpy available the bucket sums run as ``np.bincount``
-        reductions over the cached columnar view — same accumulation
-        order, bit-identical totals; the pure loop remains the
-        numpy-free fallback (see :mod:`repro.profiler.fastpath`).
         """
-        cols = self.columns()
-        if cols is not None:
-            from repro.profiler.fastpath import aggregate_columns
-
-            aggregates = aggregate_columns(cols, by_context)
-        else:
-            aggregates = aggregate_records_pure(self._records, by_context)
-        aggregates.sort(key=lambda a: a.package_joules, reverse=True)
-        return aggregates
-
-    def aggregate_pure(self, by_context: bool = False) -> list[MethodAggregate]:
-        """Force the numpy-free aggregation path (parity/bench anchor)."""
         aggregates = aggregate_records_pure(self._records, by_context)
         aggregates.sort(key=lambda a: a.package_joules, reverse=True)
         return aggregates
@@ -356,23 +311,13 @@ class ProfileResult:
         still parse.
 
         Malformed files raise a line-numbered :class:`ResultFileError`
-        (see :func:`parse_result_txt`).  The numeric columns are
-        converted in one numpy batch when numpy is available, per-value
-        ``float()`` otherwise; the records are identical either way.
+        (see :func:`parse_result_txt`).
         """
-        from repro.profiler.fastpath import numpy_or_none
-
-        parsed = parse_result_txt(path, np=numpy_or_none())
+        parsed = parse_result_txt(path)
         result = cls(degraded=parsed.degraded)
         result.overhead = parsed.overhead
         result.dropped_events = parsed.dropped_events
         result.dropped_threads = parsed.dropped_threads
-        floats = [
-            column if isinstance(column, list) else column.tolist()
-            for column in (
-                parsed.wall, parsed.cpu, parsed.package, parsed.core
-            )
-        ]
         methods = parsed.methods
         contexts = parsed.contexts
         records = result._records
@@ -382,7 +327,10 @@ class ProfileResult:
             parsed.context_code,
             parsed.call_index,
             parsed.suspect,
-            *floats,
+            parsed.wall,
+            parsed.cpu,
+            parsed.package,
+            parsed.core,
         ):
             pid, thread_id, thread_name, task_name = contexts[context]
             records.append(
@@ -408,11 +356,10 @@ class ProfileResult:
 def aggregate_records_pure(
     records: Iterable[MethodRecord], by_context: bool = False
 ) -> list[MethodAggregate]:
-    """The original single-pass pure-Python bucket loop (unsorted).
+    """The single-pass bucket loop behind :meth:`ProfileResult.aggregate`.
 
-    Kept as the numpy-free fallback for :meth:`ProfileResult.aggregate`
-    and as the bit-exactness anchor the vectorized path is parity-tested
-    against.  Buckets come back in first-seen order; the caller sorts.
+    Buckets come back unsorted, in first-seen order; the caller sorts.
+    The run store's vectorized aggregate is parity-tested against it.
     """
     # calls, wall, cpu, package, core, exclusive package, suspects
     buckets: dict[tuple[str, str], list] = {}
@@ -484,8 +431,8 @@ def parse_result_txt(path: str | Path, np=None) -> ResultFile:
     before those tokens existed (plain 5/6-column lines) still parse.
     Methods and contexts are interned and ``call_index`` counted in the
     same loop; the numeric columns are converted in one batch by
-    :func:`repro.profiler.fastpath.parse_float_columns` (numpy arrays
-    with ``np``, float lists without).
+    :func:`parse_float_columns` (numpy arrays with ``np``, float lists
+    without).
 
     The file is UTF-8, as the writer writes it.  Every malformation
     raises a :class:`ResultFileError` naming the path and line: a byte
@@ -494,8 +441,6 @@ def parse_result_txt(path: str | Path, np=None) -> ResultFile:
     no trailing newline — the writer always ends the file with one, so
     its absence means a torn write.
     """
-    from repro.profiler.fastpath import parse_float_columns
-
     data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8")
@@ -580,6 +525,66 @@ def parse_result_txt(path: str | Path, np=None) -> ResultFile:
         parse_float_columns(raw, linenos, path, np=np).values()
     )
     return parsed
+
+
+def parse_float_columns(
+    columns: dict[str, list[str]],
+    linenos: Sequence[int],
+    path: object,
+    np=None,
+) -> dict:
+    """Batch-convert the numeric ``result.txt`` columns, validating energy.
+
+    ``columns`` maps column name → list of raw strings (one per data
+    line).  With ``np`` each column comes back as a float64 array (one
+    vectorized conversion; the run store passes numpy); without it as
+    a list of Python floats (per-value ``float()``).  Both are
+    correctly-rounded decimal→binary conversions, so the values are
+    identical.
+
+    Unparseable values, and NaN, infinite or negative values in the
+    energy columns, raise a line-numbered :class:`ResultFileError`
+    whose message is the same byte for byte on either path.
+    """
+    isfinite = math.isfinite
+    out: dict = {}
+    for name, raw in columns.items():
+        try:
+            if np is None:
+                values = [float(token) for token in raw]
+            else:
+                values = np.asarray(raw, dtype=np.float64)
+        except ValueError:
+            # Pinpoint the offending line the slow way; conversion
+            # errors are the cold path.
+            for i, token in enumerate(raw):
+                try:
+                    float(token)
+                except ValueError:
+                    raise ResultFileError(
+                        # pepo: ignore[R04_GLOBAL_IN_LOOP] raised once, on exit
+                        f"{path}:{linenos[i]}: could not parse "
+                        f"{name} value {token!r}"
+                    ) from None
+            raise  # pragma: no cover - asarray failed, floats didn't
+        if name in ("package_joules", "core_joules"):
+            if np is None:
+                bad = [
+                    i
+                    for i, value in enumerate(values)
+                    if not (value >= 0.0 and isfinite(value))
+                ]
+            else:
+                mask = ~np.isfinite(values) | (values < 0.0)
+                bad = np.flatnonzero(mask).tolist()
+            if bad:
+                raise ResultFileError(
+                    # pepo: ignore[R04_GLOBAL_IN_LOOP] raised once, on exit
+                    f"{path}:{linenos[bad[0]]}: {name} must be a finite "
+                    f"non-negative number, got {raw[bad[0]]!r}"
+                )
+        out[name] = values
+    return out
 
 
 def _int_token(value: str, name: str, path: str | Path, lineno: int) -> int:

@@ -834,14 +834,6 @@ def materialize_concurrent(
     ``0.0``, and every record comes out bit-exact against
     :func:`materialize` — the sync path's behaviour is preserved, not
     approximated.
-
-    With numpy available the slice-attribution accumulators (step 3)
-    are precomputed as per-domain cumulative-sum arrays instead of
-    per-event dict updates and per-open dict copies
-    (:func:`_replay_concurrent_vector`); ``np.cumsum`` performs the
-    same sequential additions, so the output — records, timeline,
-    unattributed — is bit-identical, and the pure loop remains the
-    numpy-free fallback.
     """
     # 1. Global chronological merge (stable: wall, then arrival seq).
     tagged: list[tuple[float, int, _ThreadState, tuple]] = []
@@ -858,44 +850,6 @@ def materialize_concurrent(
     snapshots = to_snapshots([item[3][3] for item in tagged] + [final_payload])
     final_snapshot = snapshots.pop()
 
-    from repro.profiler.fastpath import numpy_or_none
-
-    np = numpy_or_none()
-    if np is not None and tagged:
-        return _replay_concurrent_vector(
-            np,
-            tagged,
-            snapshots,
-            final_snapshot,
-            final_ok,
-            states,
-            metadata,
-            counts,
-            task_names,
-        )
-    return _replay_concurrent_pure(
-        tagged,
-        snapshots,
-        final_snapshot,
-        final_ok,
-        states,
-        metadata,
-        counts,
-        task_names,
-    )
-
-
-def _replay_concurrent_pure(
-    tagged: list[tuple[float, int, _ThreadState, tuple]],
-    snapshots: list[EnergySnapshot],
-    final_snapshot: EnergySnapshot,
-    final_ok: bool,
-    states: Sequence[_ThreadState],
-    metadata: Sequence[tuple[str, str, int]],
-    counts: dict[str, int],
-    task_names: Sequence[str],
-) -> ConcurrentReplay:
-    """Steps 3–4 of the concurrent replay, pure-Python accumulators."""
     builder = _RecordBuilder(metadata, counts, task_names)
     # 3. Slice-attribution accumulators.  ``total_*`` and each thread's
     # ``own_*`` see identical float additions when one thread runs, so
@@ -1009,248 +963,6 @@ def _replay_concurrent_pure(
         timeline_joules=total_joules,
         unattributed_joules=unattributed,
         timeline_cpu_seconds=total_cpu,
-    )
-
-
-def _replay_concurrent_vector(
-    np,
-    tagged: list[tuple[float, int, _ThreadState, tuple]],
-    snapshots: list[EnergySnapshot],
-    final_snapshot: EnergySnapshot,
-    final_ok: bool,
-    states: Sequence[_ThreadState],
-    metadata: Sequence[tuple[str, str, int]],
-    counts: dict[str, int],
-    task_names: Sequence[str],
-) -> ConcurrentReplay:
-    """Steps 3–4 of the concurrent replay over flat numpy arrays.
-
-    The pure loop's cost centers are the per-event dict updates of the
-    global/per-thread running sums and the two dict *copies* taken at
-    every OPEN.  Here those running sums are precomputed once as
-    per-domain cumulative arrays — ``cumsum`` adds sequentially, in the
-    same order as the loop (events where a domain is absent contribute
-    ``+0.0``, which is addition-neutral) — and an OPEN stores only its
-    event position; ``close`` then reads the four accumulator values by
-    position instead of copying dicts.  Output is bit-identical to
-    :func:`_replay_concurrent_pure` (parity-tested to ``result.txt``
-    bytes).
-    """
-    n = len(tagged)
-    tcount = len(states)
-    state_pos = {id(s): i for i, s in enumerate(states)}
-    arange_n = np.arange(n)
-
-    tidx = np.fromiter(
-        (state_pos[id(item[2])] for item in tagged), dtype=np.intp, count=n
-    )
-    ok = np.fromiter((bool(item[3][2]) for item in tagged), dtype=bool, count=n)
-    is_open = np.fromiter(
-        (item[3][0] == OP_OPEN for item in tagged), dtype=bool, count=n
-    )
-    # A gap is attributed at event i iff both it and the event before it
-    # carried good readings — exactly the pure loop's prev_ok guard
-    # (after a failed read the next good reading re-anchors, no gap).
-    gap_ok = np.zeros(n, dtype=bool)
-    gap_ok[1:] = ok[1:] & ok[:-1]
-
-    # "Idle" at event i = the event thread's open-call stack was empty
-    # when the gap was attributed (before the event's own push/pop).
-    # Per-thread buffers only ever record a CLOSE that matches one of
-    # their own OPENs, so depth never underflows and a ±1 cumsum per
-    # thread reproduces the stack depth.
-    sign = np.where(is_open, 1, -1)
-    per_thread_sign = np.zeros((tcount, n), dtype=np.int64)
-    per_thread_sign[tidx, arange_n] = sign
-    depth_after = np.cumsum(per_thread_sign, axis=1)
-    idle = (depth_after[tidx, arange_n] - sign) == 0
-
-    # Domain union over the event snapshots, first-appearance order.
-    domains: list = []
-    seen: set = set()
-    for snap in snapshots:
-        for dom in snap.joules:
-            if dom not in seen:
-                seen.add(dom)
-                domains.append(dom)
-
-    # Per-domain accumulator arrays.  total_cum[d][i] == the pure
-    # loop's total_joules[d] right after event i's gap attribution;
-    # own_cum[d][t, i] likewise for thread t's running sum.
-    total_cum: dict = {}
-    own_cum: dict = {}
-    unattr_cum: dict = {}
-    touched: dict = {}
-    for dom in domains:
-        vals = np.fromiter(
-            (s.joules.get(dom, 0.0) for s in snapshots),
-            dtype=np.float64,
-            count=n,
-        )
-        present = np.fromiter(
-            (dom in s.joules for s in snapshots), dtype=bool, count=n
-        )
-        g = np.zeros(n, dtype=np.float64)
-        np.subtract(vals[1:], vals[:-1], out=g[1:])
-        np.maximum(g, 0.0, out=g)  # counter wrap survived conversion
-        g[~gap_ok] = 0.0
-        total_cum[dom] = np.cumsum(g)
-        per_thread = np.zeros((tcount, n), dtype=np.float64)
-        per_thread[tidx, arange_n] = g
-        own_cum[dom] = np.cumsum(per_thread, axis=1)
-        unattr_cum[dom] = np.cumsum(np.where(idle, g, 0.0))
-        # Key-presence parity: the pure dicts gain a key only when a
-        # gap event's *later* snapshot actually carried the domain.
-        touched[dom] = (
-            bool(np.any(present & gap_ok)),
-            bool(np.any(present & gap_ok & idle)),
-        )
-
-    cpu_vals = np.fromiter(
-        (s.cpu_seconds for s in snapshots), dtype=np.float64, count=n
-    )
-    cg = np.zeros(n, dtype=np.float64)
-    np.subtract(cpu_vals[1:], cpu_vals[:-1], out=cg[1:])
-    np.maximum(cg, 0.0, out=cg)
-    cg[~gap_ok] = 0.0
-    total_cpu_cum = np.cumsum(cg)
-    per_thread_cpu = np.zeros((tcount, n), dtype=np.float64)
-    per_thread_cpu[tidx, arange_n] = cg
-    own_cpu_cum = np.cumsum(per_thread_cpu, axis=1)
-
-    builder = _RecordBuilder(metadata, counts, task_names)
-    stacks: dict[int, list[list]] = {id(s): [] for s in states}
-
-    def close_at(entry: list, pos: int, end, end_ok: bool, state) -> None:
-        """In-loop close: accumulator values read by event position."""
-        pos_open = entry[5]
-        t = state_pos[id(state)]
-        delta = end.delta(entry[1])
-        inclusive = {}
-        for dom, value in delta.joules.items():
-            tc = total_cum.get(dom)
-            if tc is not None:
-                oc = own_cum[dom]
-                foreign = float(
-                    (tc[pos] - tc[pos_open]) - (oc[t, pos] - oc[t, pos_open])
-                )
-                if foreign:
-                    value = value - foreign
-                    if value < 0.0:
-                        value = 0.0
-            inclusive[dom] = value
-        cpu_foreign = float(
-            (total_cpu_cum[pos] - total_cpu_cum[pos_open])
-            - (own_cpu_cum[t, pos] - own_cpu_cum[t, pos_open])
-        )
-        cpu = delta.cpu_seconds
-        if cpu_foreign:
-            cpu = cpu - cpu_foreign
-            if cpu < 0.0:
-                cpu = 0.0
-        builder.close(
-            entry, delta, inclusive, cpu, end_ok, stacks[id(state)], state
-        )
-
-    for pos, (_wall, _seq, state, event) in enumerate(tagged):
-        op, index, ok_ev = event[0], event[1], event[2]
-        task = event[4] if len(event) > 4 else -1
-        if op == OP_OPEN:
-            stacks[id(state)].append(
-                [index, snapshots[pos], ok_ev, {}, task, pos]
-            )
-        else:
-            stack = stacks[id(state)]
-            if stack:
-                close_at(stack.pop(), pos, snapshots[pos], ok_ev, state)
-
-    # Scalar running state for everything after the last event: the
-    # tail-slice attribution and the closes of still-open calls.  The
-    # cumulative arrays' last elements are bit-equal to the pure loop's
-    # running sums at this point.
-    total_now: dict = {}
-    unattr_now: dict = {}
-    for dom in domains:
-        any_gap, any_idle_gap = touched[dom]
-        if any_gap:
-            total_now[dom] = float(total_cum[dom][-1])
-        if any_idle_gap:
-            unattr_now[dom] = float(unattr_cum[dom][-1])
-    own_now = [
-        {dom: float(own_cum[dom][t, -1]) for dom in domains}
-        for t in range(tcount)
-    ]
-    total_cpu_now = float(total_cpu_cum[-1])
-    own_cpu_now = [float(own_cpu_cum[t, -1]) for t in range(tcount)]
-
-    # The tail slice up to the tracer's final reading ran on the owner
-    # thread (it called stop()) — same guard chain as the pure loop:
-    # the last event's reading must be good, and so must the final one.
-    owner_state = next((s for s in states if s.is_owner), None)
-    if bool(ok[-1]) and final_ok and owner_state is not None:
-        t = state_pos[id(owner_state)]
-        mine = own_now[t]
-        idle_tail = not stacks[id(owner_state)]
-        prev = snapshots[-1]
-        for dom, value in final_snapshot.joules.items():
-            gap = value - prev.joules.get(dom, 0.0)
-            if gap < 0.0:
-                gap = 0.0
-            total_now[dom] = total_now.get(dom, 0.0) + gap
-            mine[dom] = mine.get(dom, 0.0) + gap
-            if idle_tail:
-                unattr_now[dom] = unattr_now.get(dom, 0.0) + gap
-        cpu_gap = final_snapshot.cpu_seconds - prev.cpu_seconds
-        if cpu_gap < 0.0:
-            cpu_gap = 0.0
-        total_cpu_now += cpu_gap
-        own_cpu_now[t] += cpu_gap
-
-    def close_final(entry: list, state: _ThreadState) -> None:
-        """Post-loop close against the final reading (post-tail sums)."""
-        pos_open = entry[5]
-        t = state_pos[id(state)]
-        mine = own_now[t]
-        delta = final_snapshot.delta(entry[1])
-        inclusive = {}
-        for dom, value in delta.joules.items():
-            tc = total_cum.get(dom)
-            open_total = float(tc[pos_open]) if tc is not None else 0.0
-            open_own = (
-                float(own_cum[dom][t, pos_open]) if tc is not None else 0.0
-            )
-            foreign = (total_now.get(dom, 0.0) - open_total) - (
-                mine.get(dom, 0.0) - open_own
-            )
-            if foreign:
-                value = value - foreign
-                if value < 0.0:
-                    value = 0.0
-            inclusive[dom] = value
-        cpu_foreign = (total_cpu_now - float(total_cpu_cum[pos_open])) - (
-            own_cpu_now[t] - float(own_cpu_cum[t, pos_open])
-        )
-        cpu = delta.cpu_seconds
-        if cpu_foreign:
-            cpu = cpu - cpu_foreign
-            if cpu < 0.0:
-                cpu = 0.0
-        builder.close(
-            entry, delta, inclusive, cpu, final_ok, stacks[id(state)], state
-        )
-
-    # Calls still open when tracing stopped close against the final
-    # reading — owner first (registration order), innermost first.
-    for state in states:
-        stack = stacks[id(state)]
-        while stack:
-            close_final(stack.pop(), state)
-
-    return ConcurrentReplay(
-        records=builder.records,
-        timeline_joules=total_now,
-        unattributed_joules=unattr_now,
-        timeline_cpu_seconds=total_cpu_now,
     )
 
 

@@ -10,8 +10,8 @@ trends, Tukey-fence outlier runs, per-rule savings estimates and
 Hoeffding drift flags are all vectorized numpy reductions over the
 concatenated columns.
 
-Unlike the profiler (which must run numpy-free), this package requires
-numpy and is not subject to ``PEPO_PURE_PYTHON``.
+Unlike the profiler, which runs without numpy, this package requires
+numpy: the vectorized reductions are the reason it exists.
 """
 
 from repro.store.columns import RunColumns, concat_columns

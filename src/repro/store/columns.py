@@ -1,22 +1,31 @@
 """Columnar run segments: numpy arrays + interned string tables.
 
-One profiling run becomes one :class:`RunColumns` — the struct-of-
-arrays layout shared with :class:`repro.profiler.fastpath.
-ProfileColumns`, persisted as a compressed ``.npz`` of the numeric
+One profiling run becomes one :class:`RunColumns`: a struct-of-arrays
+view of its records, persisted as a compressed ``.npz`` of the numeric
 columns.  String tables (method names, execution-context labels) are
 *not* stored in the segment: the :class:`~repro.store.runstore.
 RunStore` interns them globally in its SQLite catalog and rewrites each
 segment's codes to the global tables at ingest, so segments from many
 runs concatenate without any remapping at query time.
 
-Unlike the profiler fast paths, this module requires numpy outright
-(``repro.store`` is an analytics layer, not a measurement layer) and is
-not subject to the ``PEPO_PURE_PYTHON`` gate — that variable switches
-the *profiler* onto its fallback loops for parity testing; the store
-has no fallback to switch to.  ``result.txt`` files are read by the
-profiler's own parser, :func:`repro.profiler.records.parse_result_txt`,
-called with numpy: :meth:`RunColumns.from_result_file` only labels the
-contexts and wraps the parsed lists as arrays.
+This module requires numpy outright: ``repro.store`` is an analytics
+layer, not a measurement layer, and the profiler that feeds it runs
+without numpy.  ``result.txt`` files are read by the profiler's own
+parser, :func:`repro.profiler.records.parse_result_txt`, called with
+numpy: :meth:`RunColumns.from_result_file` only labels the contexts and
+wraps the parsed columns as arrays.
+
+Bit-exactness contract (tests/profiler/test_columnar_parity.py):
+:meth:`RunColumns.aggregate` produces *identical* floats to
+:meth:`repro.profiler.records.ProfileResult.aggregate`'s bucket loop,
+not merely close ones.  The accumulation primitives are chosen for
+that property:
+
+* ``np.bincount(codes, weights=w)`` adds weights in input order into
+  each bucket — the same IEEE-754 addition sequence as the Python
+  per-bucket running sums.
+* ``np.sum``/``np.add.reduce`` use pairwise summation and are therefore
+  **banned** for any parity-gated value.
 """
 
 from __future__ import annotations
@@ -32,19 +41,15 @@ except ImportError as exc:  # pragma: no cover - environment-dependent
         "it, but columnar analytics have no pure-Python fallback"
     ) from exc
 
-from repro.profiler.fastpath import (
-    ProfileColumns,
-    aggregate_columns,
-    build_columns,
+from repro.profiler.records import (
+    MethodAggregate,
+    context_label,
+    parse_result_txt,
 )
-from repro.profiler.records import context_label, parse_result_txt
+from repro.rapl.domains import Domain
 
 if TYPE_CHECKING:
-    from repro.profiler.records import (
-        MethodAggregate,
-        MethodRecord,
-        ResultFile,
-    )
+    from repro.profiler.records import MethodRecord, ResultFile
 
 
 #: Numeric columns persisted in a ``.npz`` segment, in schema order.
@@ -61,22 +66,90 @@ SEGMENT_FIELDS = (
 )
 
 
-class RunColumns(ProfileColumns):
+class RunColumns:
     """One run's records as flat columns (see module docstring).
 
-    Inherits the column layout from the profiler's
-    :class:`ProfileColumns`; adds the ingest constructors, the ``.npz``
-    round trip and the vectorized reductions the store builds on.
+    ``methods`` / ``contexts`` are interned string tables in first-seen
+    order; the ``*_code`` columns index into them.  Float columns carry
+    exactly the values the corresponding :class:`MethodRecord`
+    properties expose, so reductions over the columns see the same
+    numbers the record loops see.
     """
+
+    __slots__ = ("methods", "contexts", *SEGMENT_FIELDS)
+
+    def __init__(
+        self,
+        methods: list[str],
+        contexts: list[str],
+        method_code,
+        context_code,
+        call_index,
+        wall,
+        cpu,
+        package,
+        core,
+        exclusive_package,
+        suspect,
+    ) -> None:
+        self.methods = methods
+        self.contexts = contexts
+        self.method_code = method_code
+        self.context_code = context_code
+        self.call_index = call_index
+        self.wall = wall
+        self.cpu = cpu
+        self.package = package
+        self.core = core
+        self.exclusive_package = exclusive_package
+        self.suspect = suspect
+
+    def __len__(self) -> int:
+        return int(self.method_code.shape[0])
 
     # -- constructors --------------------------------------------------
 
     @classmethod
     def from_records(cls, records: Sequence["MethodRecord"]) -> "RunColumns":
-        """Fold live :class:`MethodRecord` objects into columns."""
-        cols = build_columns(records, np=np, cls=cls)
-        assert isinstance(cols, cls)
-        return cols
+        """Fold live :class:`MethodRecord` objects into columns (one pass)."""
+        method_ids: dict[str, int] = {}
+        context_ids: dict[str, int] = {}
+        mcodes: list[int] = []
+        ccodes: list[int] = []
+        call_index: list[int] = []
+        wall: list[float] = []
+        cpu: list[float] = []
+        package: list[float] = []
+        core: list[float] = []
+        exclusive: list[float] = []
+        suspect: list[bool] = []
+        pkg_dom = Domain.PACKAGE
+        core_dom = Domain.PP0
+        for r in records:
+            mcodes.append(method_ids.setdefault(r.method, len(method_ids)))
+            label = r.context_label
+            ccodes.append(context_ids.setdefault(label, len(context_ids)))
+            call_index.append(r.call_index)
+            wall.append(r.wall_seconds)
+            cpu.append(r.cpu_seconds)
+            joules = r.joules
+            package.append(joules.get(pkg_dom, 0.0))
+            core.append(joules.get(core_dom, 0.0))
+            exclusive.append(r.exclusive_joules.get(pkg_dom, 0.0))
+            suspect.append(r.suspect)
+        return cls(
+            methods=list(method_ids),
+            contexts=list(context_ids),
+            method_code=np.asarray(mcodes, dtype=np.int32),
+            context_code=np.asarray(ccodes, dtype=np.int32),
+            call_index=np.asarray(call_index, dtype=np.int64),
+            wall=np.asarray(wall, dtype=np.float64),
+            cpu=np.asarray(cpu, dtype=np.float64),
+            package=np.asarray(package, dtype=np.float64),
+            core=np.asarray(core, dtype=np.float64),
+            exclusive_package=np.asarray(exclusive, dtype=np.float64),
+            suspect=np.asarray(suspect, dtype=bool),
+        )
 
     @classmethod
     def from_result_txt(cls, path: str | Path) -> "RunColumns":
@@ -178,9 +251,65 @@ class RunColumns(ProfileColumns):
 
         Same output as :meth:`ProfileResult.aggregate` on the
         equivalent records — bit-exactly, including tie order
-        (parity-tested against the pure loop).
+        (parity-tested against its bucket loop): ``np.bincount``
+        accumulates in input order, and buckets come out in first-seen
+        order before the same stable sort.
         """
-        aggregates = aggregate_columns(self, by_context, np=np)
+        n = len(self)
+        if n == 0:
+            return []
+        if by_context:
+            n_contexts = len(self.contexts)
+            codes = self.method_code.astype(np.int64) * n_contexts
+            codes += self.context_code
+            n_buckets = len(self.methods) * n_contexts
+        else:
+            codes = self.method_code.astype(np.int64)
+            n_buckets = len(self.methods)
+        calls = np.bincount(codes, minlength=n_buckets)
+        wall = np.bincount(codes, weights=self.wall, minlength=n_buckets)
+        cpu = np.bincount(codes, weights=self.cpu, minlength=n_buckets)
+        package = np.bincount(codes, weights=self.package, minlength=n_buckets)
+        core = np.bincount(codes, weights=self.core, minlength=n_buckets)
+        exclusive = np.bincount(
+            codes, weights=self.exclusive_package, minlength=n_buckets
+        )
+        suspects = np.bincount(
+            codes, weights=self.suspect, minlength=n_buckets
+        )
+        # First-seen bucket order, matching the dict-insertion order of
+        # the record loop (the final sort is stable, so ties keep this
+        # order).  Scatter-assign positions in *reverse*: fancy-index
+        # assignment applies writes in index order, so each bucket keeps
+        # its first occurrence — O(n), no sort (np.unique's sort
+        # dominates at 1M+).
+        first = np.full(n_buckets, -1, dtype=np.int64)
+        first[codes[::-1]] = np.arange(n - 1, -1, -1, dtype=np.int64)
+        present = np.flatnonzero(first >= 0)
+        order = present[np.argsort(first[present])]
+        aggregate = MethodAggregate
+        aggregates: list[MethodAggregate] = []
+        for code in order.tolist():
+            if by_context:
+                method_code, context_code = divmod(code, n_contexts)
+                method = self.methods[method_code]
+                context = self.contexts[context_code]
+            else:
+                method = self.methods[code]
+                context = ""
+            aggregates.append(
+                aggregate(
+                    method=method,
+                    calls=int(calls[code]),
+                    wall_seconds=float(wall[code]),
+                    cpu_seconds=float(cpu[code]),
+                    package_joules=float(package[code]),
+                    core_joules=float(core[code]),
+                    exclusive_package_joules=float(exclusive[code]),
+                    suspect_calls=int(suspects[code]),
+                    context=context,
+                )
+            )
         aggregates.sort(key=lambda a: a.package_joules, reverse=True)
         return aggregates
 

@@ -1,6 +1,7 @@
 """CLI integration tests for the ``pepo`` command."""
 
 import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,13 @@ DIRTY = (
     "    for n in names:\n"
     "        out += n\n"
     "    return out\n"
+)
+
+#: A valid header and one row whose last line has no trailing newline:
+#: the shape a write torn mid-line leaves behind.
+TRUNCATED_RESULT = (
+    Path(__file__).resolve().parents[1]
+    / "fixtures" / "hostile" / "truncated_result.txt"
 )
 
 PROJECT_MAIN = (
@@ -175,12 +183,13 @@ class TestCompare:
         before, _ = self._write_profiles(tmp_path)
         bad = tmp_path / "bad.txt"
         bad.write_text("# h\nm.hot\t0.5\t0.5\tnan\t3.5\n")
-        assert main(["compare", str(before), str(bad)]) == 2
-        err = capsys.readouterr().err
-        assert err == (
-            f"pepo: {bad}:2: package_joules must be a finite non-negative "
-            "number, got 'nan'\n"
-        )
+        for path, reason in (
+            (bad, "package_joules must be a finite non-negative number, "
+                  "got 'nan'"),
+            (TRUNCATED_RESULT, "truncated line (no trailing newline)"),
+        ):
+            assert main(["compare", str(before), str(path)]) == 2
+            assert capsys.readouterr().err == f"pepo: {path}:2: {reason}\n"
 
 
     def test_non_utf8_file_exits_2_without_traceback(
@@ -523,11 +532,14 @@ class TestStoreCommands:
     ):
         bad = tmp_path / "result.txt"
         bad.write_text("# h\nm.f\t0.1\t0.1\t1.0\t0.5\tthread=abc\n")
-        assert main(
-            ["ingest", str(bad), "--store", str(tmp_path / "store")]
-        ) == 2
-        err = capsys.readouterr().err
-        assert err == f"pepo: {bad}:2: could not parse thread value 'abc'\n"
+        for path, reason in (
+            (bad, "could not parse thread value 'abc'"),
+            (TRUNCATED_RESULT, "truncated line (no trailing newline)"),
+        ):
+            assert main(
+                ["ingest", str(path), "--store", str(tmp_path / "store")]
+            ) == 2
+            assert capsys.readouterr().err == f"pepo: {path}:2: {reason}\n"
 
     def test_store_stats_and_runs(self, tmp_path, capsys):
         store = tmp_path / "store"

@@ -1,17 +1,16 @@
-"""Bit-exactness parity: numpy fast paths vs the pure-Python loops.
+"""Bit-exactness oracles for the profiler's one path and the run store.
 
-Every fast path introduced by the columnar-analytics work —
-``ProfileResult.aggregate()``, ``read_result_txt``'s batch float
-conversion, the vectorized ``materialize_concurrent`` replay, and the
-run store's reductions — must produce *identical* results to the pure
-loop it replaces: equal dataclasses, repr-identical floats, and
-byte-for-byte equal ``result.txt`` output.  ``PEPO_PURE_PYTHON=1``
-forces every fast path off, so each test runs the same workload twice
-with the variable toggled and compares.
+The profiler has a single numpy-free implementation of the follow-mode
+replay, ``ProfileResult.aggregate()`` and ``read_result_txt``.  Each is
+checked here against an oracle that does not share its code: a
+hand-rolled reference aggregation, the ``result.txt`` round trip, the
+numpy column conversion the run store uses, and replay values pinned
+from adversarial event buffers.  The run store's vectorized reductions
+must equal the profiler's loops exactly: equal dataclasses,
+repr-identical floats.
 
-The module also runs numpy-free (CI proves it): the toggled runs then
-both take the pure path — still a valid regression test for the
-fallback — and the store/numpy-only cases skip.
+The module also runs numpy-free (CI proves it); the store and numpy
+cases then skip.
 """
 
 import random
@@ -19,11 +18,12 @@ import threading
 
 import pytest
 
-from repro.profiler.fastpath import PURE_ENV, numpy_or_none
 from repro.profiler.records import (
+    MethodAggregate,
     MethodRecord,
     ProfileResult,
     aggregate_records_pure,
+    parse_result_txt,
 )
 from repro.profiler.runtime import (
     OP_CLOSE,
@@ -40,22 +40,10 @@ except ImportError:
     numpy = None
 
 requires_numpy = pytest.mark.skipif(
-    numpy is None, reason="fast path under test needs numpy"
+    numpy is None, reason="run store reductions need numpy"
 )
 
-
-@pytest.fixture
-def force_pure(monkeypatch):
-    """Callable that flips the PEPO_PURE_PYTHON override on or off."""
-
-    def flip(on: bool) -> None:
-        if on:
-            monkeypatch.setenv(PURE_ENV, "1")
-        else:
-            monkeypatch.delenv(PURE_ENV, raising=False)
-
-    yield flip
-    monkeypatch.delenv(PURE_ENV, raising=False)
+P, C = Domain.PACKAGE, Domain.PP0
 
 
 def _random_result(seed: int, n: int = 400) -> ProfileResult:
@@ -100,55 +88,53 @@ def _assert_aggregates_identical(left, right):
         assert repr(a) == repr(b)
 
 
+def _reference_aggregate(records, by_context=False):
+    """Bucket first, then sum each bucket: no shared code with the loop.
+
+    ``sum`` adds in list order starting from ``0``, the same IEEE-754
+    addition sequence as the running sums, so the totals must match to
+    the last bit.  ``sorted`` is stable, so ties keep first-seen order.
+    """
+    buckets: dict[tuple[str, str], list[MethodRecord]] = {}
+    for r in records:
+        key = (r.method, r.context_label if by_context else "")
+        buckets.setdefault(key, []).append(r)
+    aggregates = [
+        MethodAggregate(
+            method=method,
+            calls=len(rs),
+            wall_seconds=sum(r.wall_seconds for r in rs),
+            cpu_seconds=sum(r.cpu_seconds for r in rs),
+            package_joules=sum(r.package_joules for r in rs),
+            core_joules=sum(r.core_joules for r in rs),
+            exclusive_package_joules=sum(
+                r.exclusive_joules.get(P, 0.0) for r in rs
+            ),
+            suspect_calls=sum(1 for r in rs if r.suspect),
+            context=context,
+        )
+        for (method, context), rs in buckets.items()
+    ]
+    return sorted(aggregates, key=lambda a: a.package_joules, reverse=True)
+
+
 class TestAggregateParity:
     def test_matches_pure_loop(self):
         result = _random_result(1)
         _assert_aggregates_identical(
-            result.aggregate(), result.aggregate_pure()
+            result.aggregate(), _reference_aggregate(result)
         )
 
     def test_matches_pure_loop_by_context(self):
         result = _random_result(2)
         _assert_aggregates_identical(
             result.aggregate(by_context=True),
-            result.aggregate_pure(by_context=True),
+            _reference_aggregate(result, by_context=True),
         )
-
-    def test_env_forces_fallback(self, force_pure):
-        result = _random_result(3)
-        force_pure(True)
-        assert numpy_or_none() is None
-        assert result.columns() is None
-        forced = result.aggregate()
-        force_pure(False)
-        _assert_aggregates_identical(result.aggregate(), forced)
-
-    @requires_numpy
-    def test_columns_cached_and_invalidated(self):
-        result = _random_result(4)
-        first = result.columns()
-        assert first is not None
-        assert result.columns() is first  # cached
-        result.add(
-            MethodRecord(
-                method="late.fn",
-                filename="f.py",
-                lineno=1,
-                call_index=0,
-                wall_seconds=0.1,
-                cpu_seconds=0.1,
-                joules={Domain.PACKAGE: 1.0},
-                exclusive_joules={},
-            )
-        )
-        rebuilt = result.columns()
-        assert rebuilt is not first
-        assert len(rebuilt) == len(first) + 1
 
     def test_merge_is_lazy_and_equivalent(self):
-        # merge() must not re-aggregate per call (O(total), not
-        # O(N·records)); equivalence with a flat extend is the
-        # observable contract.
+        # merge() only appends (O(total records), not O(N·records));
+        # equivalence with a flat extend is the observable contract.
         parts = [_random_result(seed) for seed in range(5, 10)]
         merged = ProfileResult()
         flat = ProfileResult()
@@ -159,26 +145,53 @@ class TestAggregateParity:
         _assert_aggregates_identical(merged.aggregate(), flat.aggregate())
 
 
+def _parse_messages(path):
+    """The reader's error, and the store's numpy parse error if any."""
+    messages = []
+    with pytest.raises(ValueError) as excinfo:
+        ProfileResult.read_result_txt(path)
+    messages.append(str(excinfo.value))
+    if numpy is not None:
+        with pytest.raises(ValueError) as excinfo:
+            parse_result_txt(path, np=numpy)
+        messages.append(str(excinfo.value))
+    return messages
+
+
 class TestReadResultTxtParity:
+    """The reader converts floats per value; the store (``np=numpy``)
+    converts a column at once.  Values and errors must be identical."""
+
     def _write(self, tmp_path, seed=11):
         path = tmp_path / "result.txt"
         _random_result(seed).write_result_txt(path)
         return path
 
-    def test_round_trip_bytes_identical(self, tmp_path, force_pure):
+    def _corrupt(self, path, data_index, field_index, value):
+        """Replace one field of one data line; return its 1-based line."""
+        lines = path.read_text().splitlines()
+        data_lines = [
+            i for i, line in enumerate(lines)
+            if line and not line.startswith("#")
+        ]
+        target = data_lines[data_index]
+        parts = lines[target].split("\t")
+        parts[field_index] = value
+        lines[target] = "\t".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        return target + 1
+
+    def test_round_trip_bytes_identical(self, tmp_path):
         path = self._write(tmp_path)
         original = path.read_bytes()
-        force_pure(True)
-        pure = ProfileResult.read_result_txt(path)
-        force_pure(False)
-        fast = ProfileResult.read_result_txt(path)
-        assert list(fast) == list(pure)
-        out_fast = tmp_path / "fast.txt"
-        out_pure = tmp_path / "pure.txt"
-        fast.write_result_txt(out_fast)
-        pure.write_result_txt(out_pure)
-        assert out_fast.read_bytes() == out_pure.read_bytes()
-        assert out_fast.read_bytes() == original
+        read = ProfileResult.read_result_txt(path)
+        out = tmp_path / "again.txt"
+        read.write_result_txt(out)
+        assert out.read_bytes() == original
+        if numpy is not None:
+            parsed = parse_result_txt(path, np=numpy)
+            assert parsed.package.tolist() == [r.package_joules for r in read]
+            assert parsed.wall.tolist() == [r.wall_seconds for r in read]
 
     @pytest.mark.parametrize("bad", ["nan", "-1.5", "inf", "-inf"])
     @pytest.mark.parametrize(
@@ -186,67 +199,36 @@ class TestReadResultTxtParity:
         [("package_joules", 3), ("core_joules", 4)],
     )
     def test_rejects_bad_energy_identically(
-        self, tmp_path, force_pure, bad, column, field_index
+        self, tmp_path, bad, column, field_index
     ):
         path = self._write(tmp_path)
-        lines = path.read_text().splitlines()
-        # Corrupt the 3rd data line, sparing the header comment.
-        data_lines = [
-            i for i, line in enumerate(lines)
-            if line and not line.startswith("#")
-        ]
-        target = data_lines[2]
-        parts = lines[target].split("\t")
-        parts[field_index] = bad
-        lines[target] = "\t".join(parts)
-        path.write_text("\n".join(lines) + "\n")
+        lineno = self._corrupt(path, 2, field_index, bad)
+        messages = _parse_messages(path)
+        assert len(set(messages)) == 1
+        assert messages[0] == (
+            f"{path}:{lineno}: {column} must be a finite non-negative "
+            f"number, got {bad!r}"
+        )
 
-        messages = []
-        for pure in (True, False):
-            force_pure(pure)
-            with pytest.raises(ValueError) as excinfo:
-                ProfileResult.read_result_txt(path)
-            messages.append(str(excinfo.value))
-        assert messages[0] == messages[1]
-        assert f":{target + 1}:" in messages[0]
-        assert column in messages[0]
-        assert "finite non-negative" in messages[0]
-
-    def test_unparseable_float_identical_message(
-        self, tmp_path, force_pure
-    ):
+    def test_unparseable_float_identical_message(self, tmp_path):
         path = self._write(tmp_path)
-        lines = path.read_text().splitlines()
-        data_lines = [
-            i for i, line in enumerate(lines)
-            if line and not line.startswith("#")
-        ]
-        target = data_lines[1]
-        parts = lines[target].split("\t")
-        parts[1] = "bogus"
-        lines[target] = "\t".join(parts)
-        path.write_text("\n".join(lines) + "\n")
-        messages = []
-        for pure in (True, False):
-            force_pure(pure)
-            with pytest.raises(ValueError) as excinfo:
-                ProfileResult.read_result_txt(path)
-            messages.append(str(excinfo.value))
-        assert messages[0] == messages[1]
-        assert f":{target + 1}:" in messages[0]
-        assert "could not parse" in messages[0]
-        assert "bogus" in messages[0]
+        lineno = self._corrupt(path, 1, 1, "bogus")
+        messages = _parse_messages(path)
+        assert len(set(messages)) == 1
+        assert messages[0] == (
+            f"{path}:{lineno}: could not parse wall_seconds value 'bogus'"
+        )
 
-    def test_accepts_zero_energy(self, tmp_path, force_pure):
+    def test_accepts_zero_energy(self, tmp_path):
         path = tmp_path / "result.txt"
         path.write_text(
             "# method\twall_seconds\tcpu_seconds\tpackage_joules\t"
             "core_joules\nm\t0.1\t0.1\t0.000000000\t0.000000000\n"
         )
-        for pure in (True, False):
-            force_pure(pure)
-            (record,) = list(ProfileResult.read_result_txt(path))
-            assert record.package_joules == 0.0
+        (record,) = list(ProfileResult.read_result_txt(path))
+        assert record.package_joules == 0.0
+        if numpy is not None:
+            assert parse_result_txt(path, np=numpy).package.tolist() == [0.0]
 
 
 # -- concurrent replay parity ------------------------------------------
@@ -325,7 +307,66 @@ def _canonical(records):
     return out
 
 
+def _assert_conserves(records, timeline, unattributed):
+    """Exclusive energy of the clean records + unattributed == timeline.
+
+    A suspect record's delta spans a failed reading, whose gaps the
+    timeline masks, so only clean records enter the sum.
+    """
+    domains = set(timeline) | set(unattributed)
+    for r in records:
+        if not r.suspect:
+            domains.update(r.exclusive_joules)
+    for dom in domains:
+        exclusive = sum(
+            r.exclusive_joules.get(dom, 0.0) for r in records if not r.suspect
+        )
+        assert exclusive + unattributed.get(dom, 0.0) == pytest.approx(
+            timeline.get(dom, 0.0), rel=1e-12, abs=1e-15
+        ), dom
+
+
 class TestConcurrentReplayParity:
+    """The TestConservation workload under a VirtualClock, pinned.
+
+    Records are (method, thread name, task, package J, exclusive
+    package J) after :func:`_canonical`.  Thread ``t3``'s ``leaf``
+    reads 0 J: its close shares a wall timestamp with the owner's next
+    open, the stable merge puts the owner's event first, and the gap
+    between them lands on the idle owner as unattributed energy.
+    """
+
+    RECORDS = [
+        ("leaf", "", "", 0.05999755859375, 0.05999755859375),
+        ("leaf", "t0", "", 0.0150146484375, 0.0150146484375),
+        ("leaf", "t1", "", 0.030029296875, 0.030029296875),
+        ("leaf", "t2", "", 0.04498291015625, 0.04498291015625),
+        ("leaf", "t3", "", 0.0, 0.0),
+        ("middle_traced", "", "", 0.0899658203125, 0.02996826171875),
+        ("middle_traced", "t0", "", 0.02252197265625, 0.00750732421875),
+        ("middle_traced", "t1", "", 0.04498291015625, 0.01495361328125),
+        ("middle_traced", "t2", "", 0.0675048828125, 0.02252197265625),
+        ("middle_traced", "t3", "", 0.02996826171875, 0.02996826171875),
+        ("work_traced", "", "c-a", 0.0150146484375, 0.0150146484375),
+        ("work_traced", "", "c-a", 0.0150146484375, 0.0150146484375),
+        ("work_traced", "", "c-b", 0.030029296875, 0.030029296875),
+        ("work_traced", "", "c-b", 0.02996826171875, 0.02996826171875),
+    ]
+    TIMELINE = {
+        P: 0.449951171875,
+        C: 0.3299560546875,
+        Domain.PP1: 0.05999755859375,
+        Domain.DRAM: 0.05999755859375,
+        Domain.PSYS: 0.5999755859375,
+    }
+    UNATTRIBUTED = {
+        P: 0.10498046875,
+        C: 0.07696533203125,
+        Domain.PP1: 0.0140380859375,
+        Domain.DRAM: 0.0140380859375,
+        Domain.PSYS: 0.1400146484375,
+    }
+
     def _run_workload(self):
         backend = SimulatedBackend(clock=VirtualClock())
         tracer = _tracer(
@@ -334,27 +375,57 @@ class TestConcurrentReplayParity:
         _conservation_workload(tracer, backend)
         return tracer.result
 
-    def test_full_workload_bit_exact(self, force_pure, tmp_path):
-        force_pure(True)
-        pure = self._run_workload()
-        force_pure(False)
-        fast = self._run_workload()
-        assert _canonical(list(fast)) == _canonical(list(pure))
-        assert fast.timeline_joules == pure.timeline_joules
-        assert fast.unattributed_joules == pure.unattributed_joules
-        assert repr(fast.timeline_joules) == repr(pure.timeline_joules)
-        assert repr(fast.unattributed_joules) == repr(
-            pure.unattributed_joules
+    def test_full_workload_bit_exact(self, tmp_path):
+        first = self._run_workload()
+        records = _canonical(list(first))
+        assert [
+            (
+                r.method.rsplit(".", 1)[1],
+                r.thread_name,
+                r.task_name,
+                r.package_joules,
+                r.exclusive_joules.get(P, 0.0),
+            )
+            for r in records
+        ] == self.RECORDS
+        assert repr(first.timeline_joules) == repr(self.TIMELINE)
+        assert repr(first.unattributed_joules) == repr(self.UNATTRIBUTED)
+        _assert_conserves(
+            records, first.timeline_joules, first.unattributed_joules
         )
-        out_fast = tmp_path / "fast.txt"
-        out_pure = tmp_path / "pure.txt"
-        canon_fast = ProfileResult()
-        canon_fast.extend(_canonical(list(fast)))
-        canon_pure = ProfileResult()
-        canon_pure.extend(_canonical(list(pure)))
-        canon_fast.write_result_txt(out_fast)
-        canon_pure.write_result_txt(out_pure)
-        assert out_fast.read_bytes() == out_pure.read_bytes()
+        # A second run replays to the same result.txt bytes.
+        second = self._run_workload()
+        paths = []
+        for i, result in enumerate((first, second)):
+            canon = ProfileResult()
+            canon.extend(_canonical(list(result)))
+            paths.append(canon.write_result_txt(tmp_path / f"{i}.txt"))
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def _rec(meta, call_index, wall, cpu, joules, *, suspect=False,
+         thread_id=0, thread_name="", task_name=""):
+    """A replayed record whose exclusive energy equals its inclusive."""
+    method, filename, lineno = meta
+    return MethodRecord(
+        method=method,
+        filename=filename,
+        lineno=lineno,
+        call_index=call_index,
+        wall_seconds=wall,
+        cpu_seconds=cpu,
+        joules=joules,
+        exclusive_joules=dict(joules),
+        suspect=suspect,
+        thread_id=thread_id,
+        thread_name=thread_name,
+        task_name=task_name,
+    )
+
+
+OWN = ("own.fn", "a.py", 1)
+WRK = ("wrk.fn", "b.py", 2)
+TASKED = ("t.fn", "b.py", 2)
 
 
 class TestSyntheticReplayParity:
@@ -362,8 +433,9 @@ class TestSyntheticReplayParity:
 
     The tracer never produces some of these shapes on a friendly
     workload — failed reads, domains appearing mid-run, calls still
-    open at stop — so they are driven directly.  The replay does not
-    mutate the buffers, letting one set of states run both paths.
+    open at stop — so they are driven directly.  Every expected value
+    is pinned: records, timeline, unattributed energy and CPU, compared
+    by ``repr`` so each float must match to the last bit.
     """
 
     def _state(self, ident: int, name: str, is_owner: bool = False):
@@ -378,49 +450,39 @@ class TestSyntheticReplayParity:
     def _snap(self, wall, pkg=None, core=None, cpu=0.0):
         joules = {}
         if pkg is not None:
-            joules[Domain.PACKAGE] = pkg
+            joules[P] = pkg
         if core is not None:
-            joules[Domain.PP0] = core
+            joules[C] = core
         return EnergySnapshot(
             joules=joules, wall_seconds=wall, cpu_seconds=cpu
         )
 
-    def _replay_both(
-        self, force_pure, states, final, final_ok, metadata, task_names=()
-    ):
-        results = {}
-        for pure in (True, False):
-            force_pure(pure)
-            results[pure] = materialize_concurrent(
-                states,
-                final,
-                final_ok,
-                metadata,
-                lambda payloads: [
-                    p if p is not None else self._snap(0.0)
-                    for p in payloads
-                ],
-                {},
-                list(task_names),
-            )
-        return results[True], results[False]
-
-    def _assert_replays_identical(self, pure, fast):
-        assert fast.records == pure.records
-        for a, b in zip(fast.records, pure.records):
-            assert repr(a) == repr(b)
-        assert repr(fast.timeline_joules) == repr(pure.timeline_joules)
-        assert repr(fast.unattributed_joules) == repr(
-            pure.unattributed_joules
-        )
-        assert repr(fast.timeline_cpu_seconds) == repr(
-            pure.timeline_cpu_seconds
+    def _replay(self, states, final, final_ok, metadata, task_names=()):
+        return materialize_concurrent(
+            states,
+            final,
+            final_ok,
+            metadata,
+            lambda payloads: [
+                p if p is not None else self._snap(0.0) for p in payloads
+            ],
+            {},
+            list(task_names),
         )
 
-    def test_failed_reads_and_idle_gaps(self, force_pure):
+    def _assert_replay(self, replay, records, timeline, unattributed, cpu):
+        assert replay.records == records
+        assert repr(replay.records) == repr(records)
+        assert repr(replay.timeline_joules) == repr(timeline)
+        assert repr(replay.unattributed_joules) == repr(unattributed)
+        assert repr(replay.timeline_cpu_seconds) == repr(cpu)
+        _assert_conserves(
+            replay.records, replay.timeline_joules, replay.unattributed_joules
+        )
+
+    def test_failed_reads_and_idle_gaps(self):
         owner = self._state(0, "main", is_owner=True)
         worker = self._state(42, "w", is_owner=False)
-        meta = [("own.fn", "a.py", 1), ("wrk.fn", "b.py", 2)]
         owner.buffer = [
             (OP_OPEN, 0, True, self._snap(0.0, 1.0, 0.5, cpu=0.1)),
             (OP_CLOSE, 0, True, self._snap(1.0, 2.5, 0.9, cpu=0.2)),
@@ -430,15 +492,26 @@ class TestSyntheticReplayParity:
             (OP_CLOSE, 1, True, self._snap(2.0, 3.5, 1.2, cpu=0.4)),
         ]
         final = self._snap(3.0, 4.0, 1.5, cpu=0.6)
-        pure, fast = self._replay_both(
-            force_pure, [owner, worker], final, True, meta
+        replay = self._replay([owner, worker], final, True, [OWN, WRK])
+        self._assert_replay(
+            replay,
+            [
+                _rec(OWN, 0, 1.0, 0.1, {P: 1.5, C: 0.4}),
+                # The failed open makes the record suspect; the gap
+                # around it is masked from the timeline.
+                _rec(
+                    WRK, 0, 0.5, 0.10000000000000003,
+                    {P: 0.5, C: 0.19999999999999996},
+                    suspect=True, thread_id=42, thread_name="w",
+                ),
+            ],
+            {P: 2.0, C: 0.7000000000000001},
+            {P: 0.5, C: 0.30000000000000004},
+            0.29999999999999993,
         )
-        self._assert_replays_identical(pure, fast)
-        assert len(pure.records) == 2
 
-    def test_domain_appears_mid_run(self, force_pure):
+    def test_domain_appears_mid_run(self):
         owner = self._state(0, "main", is_owner=True)
-        meta = [("own.fn", "a.py", 1)]
         # PP0 only exists from the second reading on; the first gap
         # must treat it as present-in-later-snapshot (key parity).
         owner.buffer = [
@@ -448,15 +521,20 @@ class TestSyntheticReplayParity:
             (OP_CLOSE, 0, True, self._snap(1.5, 2.5, 0.6, cpu=0.3)),
         ]
         final = self._snap(2.0, 3.0, 0.8, cpu=0.4)
-        pure, fast = self._replay_both(
-            force_pure, [owner], final, True, meta
+        replay = self._replay([owner], final, True, [OWN])
+        outer = _rec(OWN, 1, 1.5, 0.3, {P: 1.5, C: 0.6})
+        outer.exclusive_joules.update({P: 1.0, C: 0.39999999999999997})
+        self._assert_replay(
+            replay,
+            [_rec(OWN, 0, 0.5, 0.1, {P: 0.5, C: 0.2}), outer],
+            {P: 2.0, C: 0.8},
+            {P: 0.5, C: 0.20000000000000007},
+            0.4,
         )
-        self._assert_replays_identical(pure, fast)
 
-    def test_open_at_stop_and_failed_final(self, force_pure):
+    def test_open_at_stop_and_failed_final(self):
         owner = self._state(0, "main", is_owner=True)
         worker = self._state(7, "w")
-        meta = [("own.fn", "a.py", 1), ("wrk.fn", "b.py", 2)]
         owner.buffer = [
             (OP_OPEN, 0, True, self._snap(0.0, 1.0, 0.1, cpu=0.1)),
         ]
@@ -464,18 +542,51 @@ class TestSyntheticReplayParity:
             (OP_OPEN, 1, True, self._snap(0.5, 1.2, 0.2, cpu=0.2)),
         ]
         final = self._snap(1.0, 1.4, 0.3, cpu=0.3)
+        third = 0.09999999999999998
+        fifth = 0.19999999999999996
+        # Both calls close against the final reading.  With a good
+        # final reading the worker's energy is all foreign (the tail
+        # slice ran on the owner); with a failed one both are suspect
+        # and the tail is not on the timeline.
+        expected = {
+            True: (
+                [
+                    _rec(OWN, 0, 1.0, third, {P: fifth, C: third}),
+                    _rec(
+                        WRK, 0, 0.5, 0.0, {P: 0.0, C: 0.0},
+                        thread_id=7, thread_name="w",
+                    ),
+                ],
+                {P: 0.3999999999999999, C: 0.19999999999999998},
+                {P: fifth, C: 0.1},
+                0.19999999999999998,
+            ),
+            False: (
+                [
+                    _rec(
+                        OWN, 0, 1.0, third, {P: fifth, C: third},
+                        suspect=True,
+                    ),
+                    _rec(
+                        WRK, 0, 0.5, third, {P: fifth, C: third},
+                        suspect=True, thread_id=7, thread_name="w",
+                    ),
+                ],
+                {P: fifth, C: 0.1},
+                {P: fifth, C: 0.1},
+                0.1,
+            ),
+        }
         for final_ok in (True, False):
-            pure, fast = self._replay_both(
-                force_pure, [owner, worker], final, final_ok, meta
+            replay = self._replay(
+                [owner, worker], final, final_ok, [OWN, WRK]
             )
-            self._assert_replays_identical(pure, fast)
-            assert len(pure.records) == 2  # both closed against final
+            self._assert_replay(replay, *expected[final_ok])
 
-    def test_interleaved_threads_with_tasks(self, force_pure):
+    def test_interleaved_threads_with_tasks(self):
         owner = self._state(0, "main", is_owner=True)
         w1 = self._state(11, "w1")
         w2 = self._state(22, "w2")
-        meta = [("own.fn", "a.py", 1), ("t.fn", "b.py", 2)]
         owner.buffer = [
             (OP_OPEN, 0, True, self._snap(0.0, 1.0, cpu=0.1), 0),
             (OP_CLOSE, 0, True, self._snap(3.0, 9.0, cpu=0.9), 0),
@@ -489,27 +600,45 @@ class TestSyntheticReplayParity:
             (OP_CLOSE, 1, True, self._snap(2.5, 7.0, cpu=0.7), -1),
         ]
         final = self._snap(4.0, 11.0, cpu=1.1)
-        pure, fast = self._replay_both(
-            force_pure, [owner, w1, w2], final, True, meta,
+        replay = self._replay(
+            [owner, w1, w2], final, True, [OWN, TASKED],
             task_names=["alpha", "beta"],
         )
-        self._assert_replays_identical(pure, fast)
-        tasks = {r.task_name for r in pure.records}
-        assert "alpha" in tasks and "beta" in tasks
+        self._assert_replay(
+            replay,
+            [
+                _rec(
+                    TASKED, 0, 1.0, 0.1, {P: 1.0},
+                    thread_id=11, thread_name="w1", task_name="beta",
+                ),
+                _rec(
+                    TASKED, 1, 1.5, 0.2999999999999999, {P: 3.0},
+                    thread_id=22, thread_name="w2",
+                ),
+                _rec(
+                    OWN, 0, 3.0, 0.20000000000000007, {P: 2.0},
+                    task_name="alpha",
+                ),
+            ],
+            {P: 10.0},
+            {P: 4.0},
+            1.0,
+        )
 
-    def test_masked_events_everywhere(self, force_pure):
+    def test_masked_events_everywhere(self):
         # Every read failed: gaps all masked, deltas come from the
-        # final snapshot only, nothing may crash or diverge.
+        # final snapshot only, nothing may crash.
         owner = self._state(0, "main", is_owner=True)
-        meta = [("own.fn", "a.py", 1)]
         owner.buffer = [
             (OP_OPEN, 0, False, None),
             (OP_CLOSE, 0, False, None),
         ]
-        pure, fast = self._replay_both(
-            force_pure, [owner], self._snap(1.0, 2.0, cpu=0.5), False, meta
+        replay = self._replay(
+            [owner], self._snap(1.0, 2.0, cpu=0.5), False, [OWN]
         )
-        self._assert_replays_identical(pure, fast)
+        self._assert_replay(
+            replay, [_rec(OWN, 0, 0.0, 0.0, {}, suspect=True)], {}, {}, 0.0
+        )
 
 
 # -- store reductions (numpy required) ----------------------------------
