@@ -8,8 +8,8 @@ pytest-benchmark, and the aggregate driver checks every suggestion's
 
 import pytest
 
-from repro.bench.micro import MICRO_PAIRS
 from repro.bench.table1 import render_table1, run_table1
+from repro.rules import REGISTRY
 
 #: Rules whose Python effect is large and stable enough to assert a
 #: strict direction on a noisy shared host.  The remaining rules are
@@ -23,7 +23,7 @@ STRONG_RULES = {
     "R13_OBJECT_CHURN",
 }
 
-_PAIRS = {pair.rule_id: pair for pair in MICRO_PAIRS}
+_PAIRS = {pair.rule_id: pair for pair in REGISTRY.micro_pairs()}
 
 
 @pytest.mark.parametrize("rule_id", sorted(_PAIRS))

@@ -1,8 +1,8 @@
 """Rule detectors: one AST pattern matcher per Table I row (DESIGN.md §4).
 
-``ALL_RULES`` and ``EXTENSION_RULES`` are derived from
-:data:`repro.rules.REGISTRY` lazily (module ``__getattr__``), so rules
-registered at runtime appear in them and this package stays importable
+The analyzer's rule set is enumerated by :data:`repro.rules.REGISTRY`
+(``REGISTRY.detector_classes()``), so rules registered at runtime join
+it; this package never imports the registry, so it stays importable
 while the registry itself is being assembled.
 """
 
@@ -24,26 +24,7 @@ from repro.analyzer.rules.r14_append_loop import AppendLoopRule
 from repro.analyzer.rules.r15_range_len import RangeLenRule
 
 
-def __getattr__(name: str):
-    # Derived from the registry so runtime-registered rules join the
-    # analyzer's default set; lazy so importing this package never
-    # requires repro.rules to be fully initialised.
-    if name in ("ALL_RULES", "EXTENSION_RULES"):
-        from repro.rules import REGISTRY
-
-        if name == "ALL_RULES":
-            return REGISTRY.detector_classes(extended=False)
-        return tuple(
-            spec.detector
-            for spec in REGISTRY
-            if spec.extension and spec.detector is not None
-        )
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
-    "ALL_RULES",
-    "EXTENSION_RULES",
     "AnalysisContext",
     "AppendLoopRule",
     "ArrayCopyRule",

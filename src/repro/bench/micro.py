@@ -14,8 +14,9 @@ exception is R04, whose *point* is a per-iteration module-global read:
 its workload is compiled into a dedicated namespace so the global it
 reads belongs to the pair, not to this file.
 
-``MICRO_PAIRS`` is derived from :data:`repro.rules.REGISTRY` — this
-module defines the built-in pairs, the registry enumerates them.
+This module defines the built-in pairs; :data:`repro.rules.REGISTRY`
+enumerates them (``REGISTRY.micro_pairs()``) alongside any pairs
+registered at runtime.
 """
 
 from __future__ import annotations
@@ -391,15 +392,9 @@ _BUILTIN_PAIRS: tuple[MicroPair, ...] = (
 
 
 def builtin_micro_pairs() -> tuple[MicroPair, ...]:
-    """The shipped pairs (registry assembly; prefer ``MICRO_PAIRS``)."""
+    """The shipped pairs, for registry assembly.
+
+    Measure through ``REGISTRY.micro_pairs()``, which also enumerates
+    pairs registered at runtime.
+    """
     return _BUILTIN_PAIRS
-
-
-def __getattr__(name: str):
-    # MICRO_PAIRS enumerates the registry, so third-party pairs
-    # registered at runtime are measured alongside the built-ins.
-    if name == "MICRO_PAIRS":
-        from repro.rules import REGISTRY
-
-        return REGISTRY.micro_pairs()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,7 +1,7 @@
 """Mechanical AST transforms, one per auto-fixable rule.
 
-``ALL_TRANSFORMS`` is derived from :data:`repro.rules.REGISTRY` lazily
-(module ``__getattr__``), ordered by each transform's
+The pipeline is enumerated by :data:`repro.rules.REGISTRY`
+(``REGISTRY.transform_classes()``), ordered by each transform's
 ``application_order``: statement-level splices (string builder, hoists)
 run before expression-level rewrites so line anchors stay meaningful,
 and the loop swap runs last because other transforms may simplify
@@ -21,19 +21,7 @@ from repro.optimizer.transforms.t_ternary import TernaryToIfTransform
 from repro.optimizer.transforms.t_traversal import LoopSwapTransform
 
 
-def __getattr__(name: str):
-    # Derived from the registry so runtime-registered transforms join
-    # the pipeline; lazy so importing this package never requires
-    # repro.rules to be fully initialised.
-    if name == "ALL_TRANSFORMS":
-        from repro.rules import REGISTRY
-
-        return REGISTRY.transform_classes()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
-    "ALL_TRANSFORMS",
     "AppliedChange",
     "ArrayCopyTransform",
     "FindToInTransform",

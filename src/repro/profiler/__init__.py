@@ -17,6 +17,10 @@ natural injection points, all implemented here:
   files to insert enter/exit probe calls, the analog of the generated
   ``JEPOInsert.java`` driver.
 
+The last two record through one call recorder
+(:class:`repro.profiler.probes.ProbeRuntime`), which closes every call
+through the tracer's own record builder.
+
 Concurrent workloads are first-class: ``EnergyTracer(follow_threads=
 True, follow_tasks=True, follow_subprocesses=True)`` records per-thread
 buffers merged into one timeline, attributes asyncio coroutines to

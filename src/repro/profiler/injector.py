@@ -4,7 +4,11 @@ Where :mod:`repro.profiler.tracer` hooks the interpreter, this module
 wraps *specific* callables with a measuring decorator, which is the
 closest Python analog to JEPO's per-method bytecode injection: each
 wrapped method reads the energy counters on entry and exit and appends
-one record per execution.
+one record per execution.  The wrappers record through the same
+:class:`~repro.profiler.probes.ProbeRuntime` as the AST probes, so
+nested wrapped calls split their energy into exclusive shares and a
+failed counter read marks the record suspect instead of failing the
+call.
 """
 
 from __future__ import annotations
@@ -14,8 +18,7 @@ import inspect
 import types
 from typing import Callable, TypeVar
 
-from repro.profiler.records import MethodRecord, ProfileResult
-from repro.rapl.backends import RaplBackend, default_backend
+from repro.profiler.probes import ProbeRuntime
 
 F = TypeVar("F", bound=Callable)
 
@@ -23,31 +26,8 @@ F = TypeVar("F", bound=Callable)
 _MARKER = "__pepo_instrumented__"
 
 
-class Injector:
+class Injector(ProbeRuntime):
     """Shared sink for records produced by injected wrappers."""
-
-    def __init__(self, backend: RaplBackend | None = None) -> None:
-        self.backend = backend or default_backend()
-        self.result = ProfileResult()
-        self._counts: dict[str, int] = {}
-
-    def _record(self, method, filename, lineno, start, end) -> None:
-        delta = end.delta(start)
-        index = self._counts.get(method, 0)
-        self._counts[method] = index + 1
-        self.result.add(
-            MethodRecord(
-                method=method,
-                filename=filename,
-                lineno=lineno,
-                call_index=index,
-                wall_seconds=delta.wall_seconds,
-                cpu_seconds=delta.cpu_seconds,
-                joules=dict(delta.joules),
-                # Wrappers cannot see callee boundaries; inclusive only.
-                exclusive_joules=dict(delta.joules),
-            )
-        )
 
 
 def instrument_callable(fn: F, injector: Injector, name: str | None = None) -> F:
@@ -67,13 +47,11 @@ def instrument_callable(fn: F, injector: Injector, name: str | None = None) -> F
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
-        start = injector.backend.snapshot()
+        entry = injector.open(method, filename, lineno)
         try:
             return fn(*args, **kwargs)
         finally:
-            injector._record(
-                method, filename, lineno, start, injector.backend.snapshot()
-            )
+            injector.close(entry)
 
     setattr(wrapper, _MARKER, True)
     return wrapper  # type: ignore[return-value]
@@ -88,6 +66,17 @@ def measured(injector: Injector, name: str | None = None) -> Callable[[F], F]:
     return decorate
 
 
+def _probe_targets(cls: type) -> list[tuple[str, types.FunctionType]]:
+    """The not-yet-instrumented methods :func:`instrument_class` wraps."""
+    return [
+        (attr, value)
+        for attr, value in vars(cls).items()
+        if isinstance(value, types.FunctionType)
+        and not (attr not in ("__init__", "__call__") and attr.startswith("__"))
+        and not getattr(value, _MARKER, False)
+    ]
+
+
 def instrument_class(cls: type, injector: Injector) -> type:
     """Inject probes into every plain method defined *on* ``cls``.
 
@@ -95,17 +84,14 @@ def instrument_class(cls: type, injector: Injector) -> type:
     are left alone (probing ``__getattribute__`` and friends would
     measure the profiler itself).
     """
-    for attr, value in list(vars(cls).items()):
-        if attr.startswith("__") and attr not in ("__init__", "__call__"):
-            continue
-        if isinstance(value, types.FunctionType):
-            setattr(
-                cls,
-                attr,
-                instrument_callable(
-                    value, injector, name=f"{cls.__module__}.{cls.__qualname__}.{attr}"
-                ),
-            )
+    for attr, fn in _probe_targets(cls):  # pepo: ignore[R04_GLOBAL_IN_LOOP] read once
+        setattr(
+            cls,
+            attr,
+            instrument_callable(
+                fn, injector, name=f"{cls.__module__}.{cls.__qualname__}.{attr}"
+            ),
+        )
     return cls
 
 
@@ -125,16 +111,6 @@ def instrument_module(module: types.ModuleType, injector: Injector) -> int:
                 setattr(module, attr, instrument_callable(value, injector))
                 count += 1
         elif isinstance(value, type):
-            before = [
-                v for v in vars(value).values()
-                if isinstance(v, types.FunctionType) and not getattr(v, _MARKER, False)
-            ]
+            count += len(_probe_targets(value))  # pepo: ignore[R04_GLOBAL_IN_LOOP] cold
             instrument_class(value, injector)
-            count += len(
-                [
-                    v for v in before
-                    if not (v.__name__.startswith("__")
-                            and v.__name__ not in ("__init__", "__call__"))
-                ]
-            )
     return count

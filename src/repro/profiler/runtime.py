@@ -25,7 +25,9 @@ reads pushed onto an append-only buffer.  No :class:`MethodRecord`, no
 dict of joules, no unit conversion happens inside the measured region;
 the buffers are replayed in a single pass at ``stop()`` (see
 :class:`repro.profiler.tracer.EnergyTracer`), and every replay builds
-its records through one :class:`_RecordBuilder`.
+its records through one :class:`_RecordBuilder` — as does the eager
+call recorder behind AST probes and injected wrappers
+(:class:`repro.profiler.probes.ProbeRuntime`).
 
 Event buffer format: ``(op, meta_index, ok, payload, task)`` where
 ``op`` is :data:`OP_OPEN` or :data:`OP_CLOSE`, ``meta_index`` indexes
@@ -659,7 +661,7 @@ def resolve_runtime(name: str) -> list[type[_RuntimeBase]]:
 class _RecordBuilder:
     """The one place a closed call becomes a :class:`MethodRecord`.
 
-    Shared by every replay: numbers each execution per method
+    Shared by every replay and by the probe/wrapper recorder: numbers each execution per method
     (``call_index``, continuing ``counts`` across sessions), derives
     exclusive energy from the call's accumulated children, and rolls
     its inclusive energy up into the parent — the new top of the

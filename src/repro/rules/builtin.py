@@ -2,13 +2,12 @@
 
 This module is *the* enumeration of PEPO's shipped rules.  Each
 ``RuleSpec`` here bundles what used to live in four hand-synced places:
-the suggestion-pool text, the analyzer rule list
-(``repro.analyzer.rules.ALL_RULES``), the transform pipeline
-(``repro.optimizer.transforms.ALL_TRANSFORMS``) and the micro-benchmark
-list (``repro.bench.micro.MICRO_PAIRS``).  The three lists still exist,
-but they are now derived *from* this catalog via
-:data:`repro.rules.REGISTRY`, which findings also read their suggestion
-text from.
+the suggestion-pool text, the analyzer rule list, the transform
+pipeline and the micro-benchmark list.  All four are read from this
+catalog through :data:`repro.rules.REGISTRY`:
+``REGISTRY.detector_classes()``, ``REGISTRY.transform_classes()`` and
+``REGISTRY.micro_pairs()``, with findings reading their suggestion
+text from the same specs.
 
 The Java component/suggestion strings are the paper's Table I rows
 verbatim; the Python strings are DESIGN.md §4's translations.  Overhead

@@ -17,7 +17,6 @@ from repro.semantics.hotness import compute_hotness
 from repro.semantics.purity import PurityCallGraph
 from repro.semantics.scopes import (
     Binding,
-    BindingKind,
     Scope,
     ScopeKind,
     ScopeTable,
@@ -189,16 +188,8 @@ class SemanticModel:
             found = self._bindings[key] = self.scopes.resolve(node)
         return found
 
-    def binding_kind(self, node: ast.Name) -> BindingKind:
-        return self.resolve(node).kind
-
     def scope_of(self, node: ast.AST) -> Scope:
         return self.scopes.scope_of(node)
-
-    def reads_module_binding(self, node: ast.Name) -> bool:
-        """True when the name load hits the module's global namespace
-        (a ``LOAD_GLOBAL`` dict lookup, the R04 cost model)."""
-        return self.resolve(node).is_module_level
 
     # -- type facts -------------------------------------------------------
 
@@ -345,16 +336,6 @@ class SemanticModel:
         if scope is not None and isinstance(scope.node, _FUNCTION_NODES):
             return scope.node
         return None
-
-    def effective_hot_depth(self, node: ast.AST) -> int:
-        """Static loop depth plus the enclosing function's
-        interprocedural hotness — a node one loop deep inside a helper
-        called from a hot loop is hotter than its local depth says."""
-        depth = self.hot_depth(node)
-        func = self.enclosing_function(node)
-        if func is not None:
-            depth += self.call_hotness(func)
-        return depth
 
     # -- unit management ---------------------------------------------------
 

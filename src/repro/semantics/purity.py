@@ -487,14 +487,6 @@ class PurityCallGraph:
     def functions(self) -> list[ast.AST]:
         return list(self._functions)
 
-    def functions_writing(self, name: str) -> list[ast.AST]:
-        """Functions whose transitive effect set writes global ``name``."""
-        return [
-            effects.node
-            for effects in self._effects.values()
-            if name in effects.global_writes
-        ]
-
     # -- expression purity (rule-facing) -----------------------------------
 
     def expression_is_pure(self, expr: ast.AST) -> bool:

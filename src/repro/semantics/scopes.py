@@ -103,12 +103,6 @@ class Scope:
             scope = scope.parent
         return scope
 
-    def nearest_function_like(self) -> "Scope | None":
-        scope = self
-        while scope is not None and not scope.is_function_like:
-            scope = scope.parent
-        return scope
-
 
 class ScopeTable:
     """Scope tree plus per-``Name``-node scope ownership."""

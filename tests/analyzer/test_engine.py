@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.analyzer import Analyzer, DynamicAnalyzer, analyze_source
 from repro.rules import REGISTRY
 from repro.analyzer.findings import Severity
-from repro.analyzer.rules import ALL_RULES
 
 CLEAN_SOURCE = (
     "def mean(xs):\n"
@@ -40,7 +39,7 @@ class TestAnalyzer:
         assert lines == sorted(lines)
 
     def test_rule_subset_selection(self):
-        analyzer = Analyzer(rules=[ALL_RULES[7]])  # R08 only
+        analyzer = Analyzer(rules=[REGISTRY.detector_classes()[7]])  # R08 only
         assert analyzer.rule_ids == ("R08_STR_CONCAT",)
         findings = analyzer.analyze_source(DIRTY_SOURCE)
         assert {f.rule_id for f in findings} == {"R08_STR_CONCAT"}
@@ -161,9 +160,10 @@ class TestDispatchIndex:
             "    return s\n",
             DIRTY_SOURCE,  # revisit an earlier source: same answer
         )
-        reused = Analyzer(rules=[ALL_RULES[7], ALL_RULES[3]])
+        rules = REGISTRY.detector_classes()
+        reused = Analyzer(rules=[rules[7], rules[3]])
         for src in sources:
-            fresh = Analyzer(rules=[ALL_RULES[7], ALL_RULES[3]])
+            fresh = Analyzer(rules=[rules[7], rules[3]])
             assert [f.to_dict() for f in reused.analyze_source(src)] == [
                 f.to_dict() for f in fresh.analyze_source(src)
             ]

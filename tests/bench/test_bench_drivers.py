@@ -2,23 +2,22 @@
 
 import pytest
 
-from repro.bench.micro import MICRO_PAIRS
 from repro.bench.table1 import render_table1, run_table1
 from repro.bench.table2 import render_table2, run_table2
 from repro.bench.table3 import render_table3, run_table3
 from repro.bench.table4 import Table4Config, _count_changes, render_table4
 from repro.rapl.backends import RealClock, SimulatedBackend
+from repro.rules import REGISTRY
 
 
 class TestMicroPairs:
     def test_thirteen_pairs_cover_all_rules(self):
-        rule_ids = {pair.rule_id for pair in MICRO_PAIRS}
-        assert len(MICRO_PAIRS) == 13
-        from repro.rules import REGISTRY
-
+        pairs = REGISTRY.micro_pairs()
+        rule_ids = {pair.rule_id for pair in pairs}
+        assert len(pairs) == 13
         assert rule_ids == {s.rule_id for s in REGISTRY.table1_specs()}
 
-    @pytest.mark.parametrize("pair", MICRO_PAIRS, ids=lambda p: p.rule_id)
+    @pytest.mark.parametrize("pair", REGISTRY.micro_pairs(), ids=lambda p: p.rule_id)
     def test_pair_forms_agree(self, pair):
         """The bad and good forms must compute the same result."""
         pair.verify()

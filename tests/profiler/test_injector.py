@@ -12,7 +12,8 @@ from repro.profiler.injector import (
     instrument_module,
     measured,
 )
-from repro.rapl.backends import RealClock, SimulatedBackend
+from repro.rapl.backends import RealClock, SimulatedBackend, VirtualClock
+from repro.rapl.domains import Domain
 
 
 def make_injector():
@@ -72,6 +73,48 @@ class TestInstrumentCallable:
 
         assert g(4) == 8
         assert len(injector.result.executions_of("m.g")) == 1
+
+    def test_nested_wrappers_attribute_exclusive_energy(self):
+        # Exclusive energy partitions the root's inclusive energy: a
+        # callee's energy is billed to the callee, not again to its caller.
+        clock = VirtualClock()
+        injector = Injector(SimulatedBackend(clock=clock))
+
+        @measured(injector, name="m.leaf")
+        def leaf():
+            clock.advance(0.1)
+
+        @measured(injector, name="m.mid")
+        def mid():
+            clock.advance(0.1)
+            leaf()
+
+        @measured(injector, name="m.root")
+        def root():
+            mid()
+            leaf()
+            clock.advance(0.1)
+
+        root()
+        inclusive = injector.result.executions_of("m.root")[0].package_joules
+        exclusive = sum(
+            r.exclusive_joules[Domain.PACKAGE] for r in injector.result
+        )
+        assert inclusive > 0
+        assert exclusive == pytest.approx(inclusive)
+
+    def test_failed_reads_degrade_the_record_not_the_call(self):
+        pytest.importorskip("numpy")  # the fault plan's RNG
+        from repro.resilience.faults import FaultInjectingBackend, FaultPlan
+
+        backend = FaultInjectingBackend(
+            SimulatedBackend(clock=VirtualClock()), FaultPlan(read_error_rate=1.0)
+        )
+        injector = Injector(backend)
+        wrapped = instrument_callable(lambda: 42, injector, name="m.f")
+        assert wrapped() == 42
+        (record,) = injector.result.executions_of("m.f")
+        assert record.suspect
 
     def test_energy_recorded_positive_for_real_work(self):
         injector = make_injector()
@@ -133,6 +176,8 @@ class TestInstrumentModule:
             "class Thing:\n"
             "    def run(self):\n"
             "        return free_fn()\n"
+            "    def __len__(self):\n"
+            "        return 0\n"
         )
         exec(compile(source, "fake_project_mod.py", "exec"), module.__dict__)
         module.free_fn.__module__ = module.__name__

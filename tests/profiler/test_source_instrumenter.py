@@ -1,12 +1,17 @@
 """Tests for AST instrumentation and entry-point discovery."""
 
+import threading
+from pathlib import Path
+
 import pytest
 
+from repro.profiler.probes import ProbeRuntime
 from repro.profiler.source_instrumenter import (
     SourceInstrumenter,
     find_main_classes,
 )
-from repro.rapl.backends import RealClock, SimulatedBackend
+from repro.rapl.backends import RealClock, SimulatedBackend, VirtualClock
+from repro.rapl.domains import Domain
 
 
 def make_instrumenter():
@@ -141,6 +146,147 @@ class TestRunSource:
         )
         result = make_instrumenter().run_path(script)
         assert len(result.executions_of("__main__.main")) == 1
+
+
+PINNED_SOURCE = (
+    "def leaf(n):\n"
+    "    return n * 2\n"
+    "def fails():\n"
+    "    raise ValueError('boom')\n"
+    "def root():\n"
+    "    total = 0\n"
+    "    for i in range(3):\n"
+    "        total += leaf(i)\n"
+    "    try:\n"
+    "        fails()\n"
+    "    except ValueError:\n"
+    "        pass\n"
+    "    return total\n"
+    "root()\n"
+)
+
+#: ``repr`` of every record of two :data:`PINNED_SOURCE` sessions, one a
+#: line — the probe path's output, pinned byte for byte.
+PINNED_RECORDS = Path(__file__).parents[1] / "fixtures" / "probe_records.txt"
+
+
+class _SteppingClock:
+    """Advances a fixed step on every reading: deterministic time."""
+
+    def __init__(self) -> None:
+        self._ticks = 0
+
+    def now(self) -> tuple[float, float]:
+        self._ticks += 1
+        return self._ticks * 1e-3, self._ticks * 7e-4
+
+
+class TestPinnedProbeRecords:
+    def test_two_sessions_on_one_noisy_backend(self):
+        pytest.importorskip("numpy")  # the backend's noise RNG
+        backend = SimulatedBackend(
+            clock=_SteppingClock(), noise_sigma=0.02, seed=11
+        )
+        instrumenter = SourceInstrumenter(backend)
+        actual = []
+        for _ in range(2):
+            result = instrumenter.run_source(PINNED_SOURCE, module_name="lib")
+            actual.extend(repr(record) for record in result)
+        assert actual == PINNED_RECORDS.read_text().splitlines()
+
+    def test_interleaved_coroutines_keep_their_own_intervals(self):
+        # Two tasks on one thread close out of LIFO order; each record
+        # still spans its own call.
+        source = (
+            "import asyncio\n"
+            "def spend(s):\n"
+            "    clock.advance(s)\n"
+            "async def work(first, second):\n"
+            "    spend(first)\n"
+            "    await asyncio.sleep(0)\n"
+            "    spend(second)\n"
+            "async def main():\n"
+            "    await asyncio.gather(work(0.1, 0.2), work(0.4, 0.8))\n"
+            "asyncio.run(main())\n"
+        )
+        clock = VirtualClock()
+        result = SourceInstrumenter(SimulatedBackend(clock=clock)).run_source(
+            source, module_name="lib", extra_globals={"clock": clock}
+        )
+        actual = [
+            (
+                r.method,
+                round(r.wall_seconds, 6),
+                round(r.package_joules, 6),
+                round(r.exclusive_joules[Domain.PACKAGE], 6),
+            )
+            for r in result
+        ]
+        assert actual == [
+            ("lib.spend", 0.1, 1.5, 1.5),
+            ("lib.spend", 0.4, 6.0, 6.0),
+            ("lib.spend", 0.2, 3.0, 3.0),
+            ("lib.work", 0.7, 10.5, 9.0),
+            ("lib.spend", 0.8, 12.0, 12.0),
+            ("lib.work", 1.4, 21.0, 12.0),
+            ("lib.main", 1.5, 22.5, 1.5),
+        ]
+
+
+class TestProbeThreads:
+    def test_interleaved_threads_keep_their_own_call_stacks(self):
+        # A opens a; B opens b; A closes a; B opens and closes c inside b.
+        clock = VirtualClock()
+        probe = ProbeRuntime(SimulatedBackend(clock=clock))
+        a_open, b_open, a_closed = (threading.Event() for _ in range(3))
+
+        def thread_a():
+            with probe("a"):
+                a_open.set()
+                b_open.wait(5)
+                clock.advance(0.1)
+            a_closed.set()
+
+        def thread_b():
+            a_open.wait(5)
+            with probe("b"):
+                b_open.set()
+                a_closed.wait(5)
+                clock.advance(0.1)
+                with probe("c"):
+                    clock.advance(0.1)
+                clock.advance(0.1)
+
+        workers = [threading.Thread(target=t) for t in (thread_a, thread_b)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(5)
+        records = {r.method: r for r in probe.result}
+        assert sorted(records) == ["a", "b", "c"]
+        for root, methods in (("a", ("a",)), ("b", ("b", "c"))):
+            exclusive = sum(
+                records[m].exclusive_joules[Domain.PACKAGE] for m in methods
+            )
+            assert exclusive == pytest.approx(records[root].package_joules)
+
+
+    def test_generator_finished_on_another_thread_is_recorded(self):
+        probe = ProbeRuntime(SimulatedBackend(clock=VirtualClock()))
+
+        def numbers():
+            with probe("gen"):
+                yield 1
+                yield 2
+
+        gen = numbers()
+        assert next(gen) == 1  # opens on this thread
+        rest = []
+        worker = threading.Thread(target=lambda: rest.extend(gen))
+        worker.start()
+        worker.join(5)
+        assert rest == [2]
+        assert [r.method for r in probe.result] == ["gen"]
 
 
 class _NullProbe:
