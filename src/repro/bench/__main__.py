@@ -101,8 +101,8 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="overhead/ingest/semantics: small corpus / few repeats "
-        "(CI smoke run)",
+        help="overhead/ingest/semantics: small corpus / fewer calls or "
+        "repeats (CI smoke run)",
     )
     parser.add_argument(
         "--records",

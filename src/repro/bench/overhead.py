@@ -18,9 +18,11 @@ configurations — the legacy ``sys.setprofile`` tracer, the new
 ``settrace`` runtime (memoized filter + deferred materialization) and
 the ``sys.monitoring`` runtime (Python ≥ 3.12) — with ``start()`` and
 ``stop()`` *inside* the timed region, so deferred materialization is
-charged for, not hidden.  Per-call overhead is ``(traced − baseline) /
-calls``, best-of-repeats.  Results go to ``BENCH_overhead.json`` so
-the perf claim is measured, not asserted.
+charged for, not hidden.  Each repeat times the baseline and every
+configuration back to back, so a host slowdown hits them alike; a
+configuration's per-call overhead is the median over repeats of
+``(traced − baseline) / calls``.  Results go to ``BENCH_overhead.json``
+so the perf claim is measured, not asserted.
 
 Three more workloads exercise the concurrency-aware follow mode
 (``EnergyTracer(follow_threads=True, follow_tasks=True)``), which the
@@ -45,10 +47,11 @@ filters, which scale with the task count rather than hook cost.
 from __future__ import annotations
 
 import platform
+import time
 from dataclasses import dataclass
 from pathlib import Path
+from statistics import median
 
-from repro.bench.harness import best_of
 from repro.views.tables import render_table
 
 #: Default output path, relative to the working directory.
@@ -230,6 +233,12 @@ class OverheadBenchResult:
             if cost is None:
                 continue
             if "legacy" in configs:
+                # Medians over repeats: with ``--quick`` on a 2-vCPU host
+                # (Python 3.11, settrace) the c_call settrace/legacy
+                # ratio read 0.58–0.64 over 20 quiet runs and 0.22–0.84
+                # over 40 runs against two busy loops, where best-of-3
+                # read 0.16–1.10.  Doubling the new runtime's overhead
+                # crosses this bound.
                 if cost > configs["legacy"]:
                     return False
             elif workload == "threaded":
@@ -318,32 +327,37 @@ def _follow_tracer_factories() -> dict[str, object]:
 def run_overhead_bench(
     quick: bool = False, calls: int | None = None, repeats: int | None = None
 ) -> OverheadBenchResult:
-    """Time every workload × configuration; best-of-``repeats``."""
+    """Time every workload × configuration; medians over ``repeats``."""
     n = calls if calls is not None else (2_000 if quick else 20_000)
-    reps = repeats if repeats is not None else (3 if quick else 5)
+    reps = max(1, repeats if repeats is not None else 9)
     factories = _tracer_factories()
 
     baseline_s: dict[str, float] = {}
     overhead: dict[str, dict[str, float]] = {}
+    perf_counter = time.perf_counter
 
     def measure(name: str, workload, tracers: dict, hot_calls: int) -> None:
-        time_best = best_of
-        baseline_s[name], _ = time_best(reps, lambda: workload(n))
-        overhead[name] = {}
-        for config, make_tracer in tracers.items():
-
-            def traced() -> None:
+        baselines: list[float] = []
+        extra: dict[str, list[float]] = {config: [] for config in tracers}
+        for _ in range(reps):
+            start = perf_counter()
+            workload(n)
+            baseline = perf_counter() - start
+            baselines.append(baseline)
+            for config, make_tracer in tracers.items():
+                start = perf_counter()
                 tracer = make_tracer()
                 tracer.start()
                 try:
                     workload(n)
                 finally:
                     tracer.stop()
-
-            total, _ = time_best(reps, traced)
-            overhead[name][config] = max(
-                0.0, (total - baseline_s[name]) / hot_calls
-            )
+                extra[config].append(perf_counter() - start - baseline)
+        baseline_s[name] = median(baselines)
+        overhead[name] = {
+            config: max(0.0, median(samples) / hot_calls)
+            for config, samples in extra.items()
+        }
 
     for name, workload in WORKLOADS.items():
         workload(n)  # warm the code paths once
@@ -385,7 +399,7 @@ def render_overhead_bench(result: OverheadBenchResult) -> str:
         ("Workload", "Tracer", "Overhead/call (µs)", "vs legacy"),
         rows,
         title=f"Tracer overhead bench — Python {result.python}, "
-        f"{result.calls} calls, best of {result.repeats}",
+        f"{result.calls} calls, median of {result.repeats}",
         right_align=(2, 3),
     )
     verdict = (

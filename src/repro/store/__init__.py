@@ -5,10 +5,11 @@
 files, subprocess spool directories — into one queryable columnar
 dataset: an append-only SQLite catalog (provenance + globally interned
 method/context string tables) plus per-run compressed ``.npz`` column
-segments.  Top-N hot methods, per-context exclusive totals, fleet
-trends, Tukey-fence outlier runs, per-rule savings estimates and
-Hoeffding drift flags are all vectorized numpy reductions over the
-concatenated columns.
+segments.  Each segment is folded once into running numpy reductions
+(:mod:`repro.store.folds`); top-N hot methods, per-context exclusive
+totals, fleet trends, Tukey-fence outlier runs, per-rule savings
+estimates and Hoeffding drift flags all read those folds, bit-exactly
+equal to reductions over the concatenated columns.
 
 Unlike the profiler, which runs without numpy, this package requires
 numpy: the vectorized reductions are the reason it exists.

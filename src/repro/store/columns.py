@@ -65,6 +65,17 @@ SEGMENT_FIELDS = (
     "suspect",
 )
 
+#: Columns an aggregate bucket sums, in :class:`MethodAggregate` order
+#: (``suspect`` sums as 0.0/1.0 and is reported as a count).
+AGGREGATE_FIELDS = (
+    "wall",
+    "cpu",
+    "package",
+    "core",
+    "exclusive_package",
+    "suspect",
+)
+
 
 class RunColumns:
     """One run's records as flat columns (see module docstring).
@@ -266,17 +277,6 @@ class RunColumns:
         else:
             codes = self.method_code.astype(np.int64)
             n_buckets = len(self.methods)
-        calls = np.bincount(codes, minlength=n_buckets)
-        wall = np.bincount(codes, weights=self.wall, minlength=n_buckets)
-        cpu = np.bincount(codes, weights=self.cpu, minlength=n_buckets)
-        package = np.bincount(codes, weights=self.package, minlength=n_buckets)
-        core = np.bincount(codes, weights=self.core, minlength=n_buckets)
-        exclusive = np.bincount(
-            codes, weights=self.exclusive_package, minlength=n_buckets
-        )
-        suspects = np.bincount(
-            codes, weights=self.suspect, minlength=n_buckets
-        )
         # First-seen bucket order, matching the dict-insertion order of
         # the record loop (the final sort is stable, so ties keep this
         # order).  Scatter-assign positions in *reverse*: fancy-index
@@ -287,47 +287,57 @@ class RunColumns:
         first[codes[::-1]] = np.arange(n - 1, -1, -1, dtype=np.int64)
         present = np.flatnonzero(first >= 0)
         order = present[np.argsort(first[present])]
-        aggregate = MethodAggregate
-        aggregates: list[MethodAggregate] = []
-        for code in order.tolist():
-            if by_context:
-                method_code, context_code = divmod(code, n_contexts)
-                method = self.methods[method_code]
-                context = self.contexts[context_code]
-            else:
-                method = self.methods[code]
-                context = ""
-            aggregates.append(
-                aggregate(
-                    method=method,
-                    calls=int(calls[code]),
-                    wall_seconds=float(wall[code]),
-                    cpu_seconds=float(cpu[code]),
-                    package_joules=float(package[code]),
-                    core_joules=float(core[code]),
-                    exclusive_package_joules=float(exclusive[code]),
-                    suspect_calls=int(suspects[code]),
-                    context=context,
+        if by_context:
+            labels = [
+                (self.methods[m], self.contexts[c])
+                for m, c in (
+                    divmod(code, n_contexts) for code in order.tolist()
                 )
-            )
-        aggregates.sort(key=lambda a: a.package_joules, reverse=True)
-        return aggregates
-
-    def method_totals(self, field: str = "package") -> "np.ndarray":
-        """Σ of one float column per method code (dense, table order)."""
-        return np.bincount(
-            self.method_code,
-            weights=getattr(self, field),
-            minlength=len(self.methods),
+            ]
+        else:
+            labels = [(self.methods[code], "") for code in order.tolist()]
+        return method_aggregates(
+            labels,
+            np.bincount(codes, minlength=n_buckets)[order],
+            {
+                name: np.bincount(
+                    codes, weights=getattr(self, name), minlength=n_buckets
+                )[order]
+                for name in AGGREGATE_FIELDS
+            },
         )
 
-    def context_exclusive_totals(self) -> "np.ndarray":
-        """Σ exclusive package joules per context code (table order)."""
-        return np.bincount(
-            self.context_code,
-            weights=self.exclusive_package,
-            minlength=len(self.contexts),
+
+def method_aggregates(
+    labels: list[tuple[str, str]], calls, sums: dict
+) -> "list[MethodAggregate]":
+    """One :class:`MethodAggregate` per bucket, energy-descending.
+
+    ``labels[i]`` is bucket ``i``'s (method, context); ``calls`` and the
+    :data:`AGGREGATE_FIELDS` arrays in ``sums`` are indexed alike.
+    Buckets arrive in first-seen order and the sort is stable, so ties
+    keep that order.
+    """
+    counts = calls.tolist()
+    wall, cpu, package, core, exclusive, suspect = (
+        sums[name].tolist() for name in AGGREGATE_FIELDS
+    )
+    aggregates = [
+        MethodAggregate(
+            method=method,
+            calls=counts[i],
+            wall_seconds=wall[i],
+            cpu_seconds=cpu[i],
+            package_joules=package[i],
+            core_joules=core[i],
+            exclusive_package_joules=exclusive[i],
+            suspect_calls=int(suspect[i]),
+            context=context,
         )
+        for i, (method, context) in enumerate(labels)
+    ]
+    aggregates.sort(key=lambda a: a.package_joules, reverse=True)
+    return aggregates
 
 
 def concat_columns(segments: Iterable[RunColumns]) -> RunColumns | None:

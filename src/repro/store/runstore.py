@@ -13,9 +13,21 @@ The catalog is the single writer-serialized piece: ``methods`` and
 records provenance (label, source, ingest timestamp) plus cheap
 pre-folded totals for the stats surface.  Segments hold *global* intern
 codes, so any subset of runs concatenates into one flat column set
-without remapping — every aggregation (top-N, per-context exclusive
-totals, fleet trends, Tukey-fence outliers, per-rule savings) is then a
-vectorized reduction over those columns.
+without remapping (:meth:`RunStore.load_all`, the row API).
+
+Queries never concatenate rows.  Each :class:`RunStore` folds every
+segment once into running reductions (:mod:`repro.store.folds`): per
+method, per (method, context) and per context sums, plus one
+package-by-method row per run for trends, outliers and drift.  A query
+reads the catalog once — the run list and both string tables, in one
+read transaction — and folds only the runs it has not seen.  Each
+folded run is keyed by its whole catalog row (id, segment, rows, ingest
+time and the run's pre-folded totals) and its segment file's ``stat``
+identity; when the catalog's run list extends what was folded, only
+the new runs are read, otherwise (a store deleted and re-ingested under
+the same root, say) the folds are dropped and rebuilt.  The folds hold
+intern codes, and names come from the catalog read by each query.  The running sums continue in row order, so every query's
+floats equal a reduction over the concatenated rows bit for bit.
 
 Ingest sources: live :class:`ProfileResult` objects, ``result.txt``
 files (single-pass, no record objects), and directories — including
@@ -26,14 +38,16 @@ from __future__ import annotations
 
 import datetime as _dt
 import sqlite3
+import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 import numpy as np
 
 from repro.profiler.records import parse_result_txt
 from repro.store.columns import RunColumns, concat_columns
+from repro.store.folds import StoreFolds
 
 if TYPE_CHECKING:
     from repro.analyzer.findings import Finding
@@ -97,6 +111,7 @@ class StoreStats:
     contexts: int
     bytes: int
     last_ingest: str | None
+    total_package_joules: float
 
     def render(self) -> str:
         last = self.last_ingest or "never"
@@ -147,6 +162,21 @@ class RuleSaving:
     estimated_savings_joules: float
 
 
+class _Catalog(NamedTuple):
+    """One consistent read of the catalog."""
+
+    runs: list[RunInfo]
+    methods: list[str]
+    contexts: list[str]
+
+
+_RUNS_SQL = (
+    "SELECT id, label, source, ingested_at, rows, segment,"
+    " total_package_joules, wall_seconds, suspect_rows,"
+    " degraded FROM runs ORDER BY id"
+)
+
+
 class RunStore:
     """Append-only columnar store over profiling runs (see module doc)."""
 
@@ -154,6 +184,9 @@ class RunStore:
         self.root = Path(root)
         self.segments_dir = self.root / "segments"
         self.catalog = self.root / "catalog.db"
+        self._folds = StoreFolds()
+        # Queries extend the folds in place; one at a time.
+        self._fold_lock = threading.Lock()
 
     # -- catalog plumbing ---------------------------------------------
 
@@ -312,19 +345,23 @@ class RunStore:
 
     # -- catalog queries ----------------------------------------------
 
-    def runs(self) -> list[RunInfo]:
+    def _read_catalog(self) -> _Catalog:
+        """The run list and both string tables, in one read transaction.
+
+        Runs no schema script and writes nothing: a store that was never
+        ingested into reads as empty and is not created.
+        """
         if not self.exists():
-            return []
-        conn = self._connect()
+            return _Catalog([], [], [])
+        conn = sqlite3.connect(self.catalog, isolation_level=None)
         try:
-            rows = conn.execute(
-                "SELECT id, label, source, ingested_at, rows, segment,"
-                " total_package_joules, wall_seconds, suspect_rows,"
-                " degraded FROM runs ORDER BY id"
-            ).fetchall()
+            conn.execute("BEGIN")
+            rows = conn.execute(_RUNS_SQL).fetchall()
+            methods = self._table(conn, "methods", "name")
+            contexts = self._table(conn, "contexts", "label")
         finally:
             conn.close()
-        return [
+        runs = [
             RunInfo(
                 run_id=row[0],
                 label=row[1],
@@ -339,9 +376,13 @@ class RunStore:
             )
             for row in rows
         ]
+        return _Catalog(runs, methods, contexts)
+
+    def runs(self) -> list[RunInfo]:
+        return self._read_catalog().runs
 
     def stats(self) -> StoreStats:
-        runs = self.runs()
+        runs, methods, contexts = self._read_catalog()
         size = 0
         if self.catalog.is_file():
             size += self.catalog.stat().st_size
@@ -349,89 +390,87 @@ class RunStore:
             size += sum(
                 p.stat().st_size for p in self.segments_dir.glob("*.npz")
             )
-        methods = contexts = 0
-        if self.exists():
-            conn = self._connect()
-            try:
-                methods = conn.execute(
-                    "SELECT COUNT(*) FROM methods"
-                ).fetchone()[0]
-                contexts = conn.execute(
-                    "SELECT COUNT(*) FROM contexts"
-                ).fetchone()[0]
-            finally:
-                conn.close()
         return StoreStats(
             root=self.root,
             runs=len(runs),
             rows=sum(r.rows for r in runs),
-            methods=methods,
-            contexts=contexts,
+            methods=len(methods),
+            contexts=len(contexts),
             bytes=size,
             last_ingest=max((r.ingested_at for r in runs), default=None),
+            total_package_joules=sum(r.total_package_joules for r in runs),
         )
 
     # -- columnar loads -----------------------------------------------
 
     def string_tables(self) -> tuple[list[str], list[str]]:
-        conn = self._connect()
-        try:
-            return (
-                self._table(conn, "methods", "name"),
-                self._table(conn, "contexts", "label"),
-            )
-        finally:
-            conn.close()
+        _, methods, contexts = self._read_catalog()
+        return methods, contexts
+
+    def _load_segment(self, info: RunInfo, catalog: _Catalog) -> RunColumns:
+        return RunColumns.load_npz(
+            self.segments_dir / info.segment, catalog.methods, catalog.contexts
+        )
 
     def load_run(self, run_id: int) -> RunColumns:
-        info = next((r for r in self.runs() if r.run_id == run_id), None)
+        catalog = self._read_catalog()
+        info = next((r for r in catalog.runs if r.run_id == run_id), None)
         if info is None:
             raise KeyError(f"run {run_id} not in store {self.root}")
-        methods, contexts = self.string_tables()
-        return RunColumns.load_npz(
-            self.segments_dir / info.segment, methods, contexts
-        )
+        return self._load_segment(info, catalog)
 
     def load_all(self) -> tuple[RunColumns | None, "np.ndarray"]:
         """Concatenate every segment; returns (columns, row→run_id map)."""
-        runs = self.runs()
-        if not runs:
+        catalog = self._read_catalog()
+        if not catalog.runs:
             return None, np.zeros(0, dtype=np.int64)
-        methods, contexts = self.string_tables()
-        segments = [
-            RunColumns.load_npz(
-                self.segments_dir / info.segment, methods, contexts
-            )
-            for info in runs
-        ]
+        segments = [self._load_segment(info, catalog) for info in catalog.runs]
         run_ids = np.repeat(
-            np.asarray([info.run_id for info in runs], dtype=np.int64),
+            np.asarray([info.run_id for info in catalog.runs], dtype=np.int64),
             np.asarray([len(seg) for seg in segments], dtype=np.int64),
         )
         return concat_columns(segments), run_ids
 
-    # -- vectorized aggregations --------------------------------------
+    def _folded(self) -> tuple[_Catalog, StoreFolds]:
+        """The catalog, and folds over every run in it (see module doc).
+
+        Call with ``_fold_lock`` held; the folds are only valid under it.
+        """
+        catalog = self._read_catalog()
+        keys = []
+        for info in catalog.runs:
+            st = (self.segments_dir / info.segment).stat()
+            keys.append((info, st.st_ino, st.st_size, st.st_mtime_ns))
+        folds = self._folds
+        if not folds.extends(keys):
+            folds = self._folds = StoreFolds()
+        for i in range(len(folds.keys), len(keys)):
+            folds.add(keys[i], self._load_segment(catalog.runs[i], catalog))
+        return catalog, folds
+
+    # -- aggregations over the folds --------------------------------
 
     def top_methods(
         self, n: int = 10, by_context: bool = False
     ) -> "list[MethodAggregate]":
         """Top-N hottest methods across every run, energy-descending."""
-        cols, _ = self.load_all()
-        if cols is None:
-            return []
-        return cols.aggregate(by_context=by_context)[:n]
+        with self._fold_lock:
+            catalog, folds = self._folded()
+            return folds.aggregates(
+                catalog.methods, catalog.contexts, by_context
+            )[:n]
 
     def context_totals(self) -> list[ContextTotal]:
         """Per-execution-context exclusive energy, energy-descending."""
-        cols, _ = self.load_all()
-        if cols is None:
-            return []
-        totals = cols.context_exclusive_totals()
-        rows = np.bincount(cols.context_code, minlength=len(cols.contexts))
+        with self._fold_lock:
+            catalog, folds = self._folded()
+            size = len(catalog.contexts)
+            totals = folds.by_context.dense("exclusive_package", size)
+            rows = folds.by_context.dense(None, size)
         order = np.argsort(-totals, kind="stable")
         return [
             ContextTotal(
-                context=cols.contexts[i],
+                context=catalog.contexts[i],
                 exclusive_package_joules=float(totals[i]),
                 rows=int(rows[i]),
             )
@@ -444,23 +483,15 @@ class RunStore:
     ) -> tuple[list[str], list[RunInfo], "np.ndarray"]:
         """(methods, runs, runs×methods package-joule totals) for trends.
 
-        The matrix is the group-by-(run, method) reduction: one
-        ``bincount`` over a combined key, reshaped.
+        Row ``i`` is run ``i``'s per-method ``bincount``, kept by the
+        folds; the matrix is built fresh for every call.
         """
-        runs = self.runs()
-        cols, run_ids = self.load_all()
-        if cols is None:
-            return [], [], np.zeros((0, 0))
-        id_to_row = {info.run_id: i for i, info in enumerate(runs)}
-        run_rows = np.asarray(
-            [id_to_row[rid] for rid in run_ids.tolist()], dtype=np.int64
-        )
-        n_methods = len(cols.methods)
-        key = run_rows * n_methods + cols.method_code.astype(np.int64)
-        matrix = np.bincount(
-            key, weights=cols.package, minlength=len(runs) * n_methods
-        ).reshape(len(runs), n_methods)
-        return cols.methods, runs, matrix
+        with self._fold_lock:
+            catalog, folds = self._folded()
+            if not folds.rows:
+                return [], [], np.zeros((0, 0))
+            matrix = folds.trend_matrix(len(catalog.methods))
+        return catalog.methods, catalog.runs, matrix
 
     def outlier_runs(self, k: float = 1.5) -> list[OutlierRun]:
         """Runs whose per-method energy lies outside the Tukey fences.
@@ -502,14 +533,17 @@ class RunStore:
         A finding in ``pkg/mod.py`` is matched to profiled methods whose
         name lives in the ``pkg.mod`` module (method names are
         ``module.qualname``); the rule's paper overhead then scales the
-        matched exclusive energy into an estimated saving.  The heavy
-        reduction (per-method exclusive totals over every row) is one
-        ``bincount``; the join runs over the small interned table.
+        matched exclusive energy into an estimated saving.  The
+        per-method exclusive totals come from the folds; the join runs
+        over the small interned table.
         """
-        cols, _ = self.load_all()
-        if cols is None:
-            return []
-        totals = cols.method_totals("exclusive_package")
+        with self._fold_lock:
+            catalog, folds = self._folded()
+            if not folds.rows:
+                return []
+            totals = folds.by_method.dense(
+                "exclusive_package", len(catalog.methods)
+            )
         by_rule: dict[str, dict] = {}
         for finding in findings:
             module = _module_of(finding.file)
@@ -528,7 +562,7 @@ class RunStore:
             entry = by_rule[rule_id]
             matched = [
                 code
-                for code, name in enumerate(cols.methods)
+                for code, name in enumerate(catalog.methods)
                 if any(
                     name.startswith(module + ".") or name == module
                     for module in entry["modules"]

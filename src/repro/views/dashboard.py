@@ -60,9 +60,7 @@ def dashboard_data(store: "RunStore", top: int = 10) -> dict:
             "contexts": stats.contexts,
             "bytes": stats.bytes,
             "last_ingest": stats.last_ingest,
-            "total_package_joules": sum(
-                r.total_package_joules for r in store.runs()
-            ),
+            "total_package_joules": stats.total_package_joules,
         },
         "top_methods": [
             {
