@@ -85,7 +85,8 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         help="sweep: exit 1 unless parallel/cached output is identical "
         "to the reference commit's AND the cold parallel sweep "
         "beats it by the gated speedup; overhead: exit 1 unless the new "
-        "runtime's per-call overhead is within the legacy tracer's; "
+        "runtime's per-call overhead is within the legacy tracer's (run "
+        "from its pinned commit); "
         "ingest: exit 1 unless the vectorized aggregates are bit-exact "
         "and clear the speedup target; semantics: exit 1 unless the "
         "flow-fact layer stays within its ms-per-KLoC budget; chaos: "

@@ -24,6 +24,17 @@ configuration's per-call overhead is the median over repeats of
 ``(traced − baseline) / calls``.  Results go to ``BENCH_overhead.json``
 so the perf claim is measured, not asserted.
 
+The legacy tracer is the one at :data:`REFERENCE_COMMIT`, the last
+commit that shipped it.  Its ``src/repro`` is extracted with
+``git archive`` and imported by one long-lived ``python -I`` child,
+which times that commit's own workloads (their source must match the
+live ones): at the start of each repeat it runs the untraced baseline
+and the legacy-traced run back to back and returns their difference,
+then this process times its own baseline and tracers.  Like
+``pepo bench sweep``, the bench needs the repository's git history;
+without the reference commit it exits with a one-line error rather
+than passing.
+
 Three more workloads exercise the concurrency-aware follow mode
 (``EnergyTracer(follow_threads=True, follow_tasks=True)``), which the
 legacy tracer cannot run at all:
@@ -46,12 +57,18 @@ filters, which scale with the task count rather than hook cost.
 
 from __future__ import annotations
 
+import inspect
 import platform
+import subprocess
+import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from statistics import median
+from typing import Callable, Iterator
 
+from repro.bench.harness import reference_tree
 from repro.views.tables import render_table
 
 #: Default output path, relative to the working directory.
@@ -60,6 +77,47 @@ DEFAULT_OUTPUT = Path("BENCH_overhead.json")
 #: Tracer configurations, measurement order.  ``legacy`` is the
 #: reference every speedup is computed against.
 CONFIGS = ("legacy", "settrace", "monitoring")
+
+#: The last commit that shipped the legacy tracer; the ``legacy``
+#: column runs from a ``git archive`` of this commit.
+REFERENCE_COMMIT = "cf5e3e52780764929ef8f392d29e8baee7dfab7e"
+
+# Runs in ``python -I`` with the extracted reference tree first on
+# sys.path.  Each stdin line names a workload and a call count; the
+# reply is one ``(legacy traced − baseline)`` sample in seconds, timed
+# back to back exactly as ``run_overhead_bench`` times its own tracers
+# (each workload warmed once first).
+_LEGACY_SCRIPT = """\
+import sys, time
+from pathlib import Path
+
+tree = Path(sys.argv[1])
+sys.path.insert(0, str(tree))
+import repro
+from repro.bench import overhead
+
+assert Path(repro.__file__).resolve().is_relative_to(tree), repro.__file__
+make_tracer = overhead._tracer_factories()["legacy"]
+perf_counter = time.perf_counter
+warm = set()
+for line in iter(sys.stdin.readline, ""):
+    name, n = line.split()
+    workload, n = overhead.WORKLOADS[name], int(n)
+    if name not in warm:
+        workload(n)
+        warm.add(name)
+    start = perf_counter()
+    workload(n)
+    baseline = perf_counter() - start
+    start = perf_counter()
+    tracer = make_tracer()
+    tracer.start()
+    try:
+        workload(n)
+    finally:
+        tracer.stop()
+    print(repr(perf_counter() - start - baseline), flush=True)
+"""
 
 #: Concurrent workloads may cost this many times the single-threaded
 #: follow-mode figure (``bytecode_followed``) before ``--check`` fails.
@@ -233,12 +291,13 @@ class OverheadBenchResult:
             if cost is None:
                 continue
             if "legacy" in configs:
-                # Medians over repeats: with ``--quick`` on a 2-vCPU host
-                # (Python 3.11, settrace) the c_call settrace/legacy
-                # ratio read 0.58–0.64 over 20 quiet runs and 0.22–0.84
-                # over 40 runs against two busy loops, where best-of-3
-                # read 0.16–1.10.  Doubling the new runtime's overhead
-                # crosses this bound.
+                # Medians over repeats: with ``--quick`` on a shared
+                # 2-vCPU host (Python 3.11, settrace) and the legacy
+                # tracer in its pinned-commit child, the c_call
+                # settrace/legacy ratio read 0.35–0.71 over 20 quiet
+                # runs and 0.30–1.00 over 40 runs against two busy
+                # loops, where best-of-3 read 0.16–1.10.  Doubling the
+                # new runtime's overhead crosses this bound.
                 if cost > configs["legacy"]:
                     return False
             elif workload == "threaded":
@@ -274,15 +333,62 @@ def _predicate(name: str) -> bool:
     return name.endswith("_workload")
 
 
+@contextmanager
+def _legacy_sampler() -> Iterator[Callable[[str, int], float]]:
+    """Start the :data:`REFERENCE_COMMIT` child and yield
+    ``sample(workload, n)``, which returns one legacy
+    ``(traced − baseline)`` sample in seconds."""
+    with reference_tree("overhead", REFERENCE_COMMIT) as tree:
+        # Both columns must time the same code: the pinned workloads'
+        # source has to match the live ones'.
+        pinned = (tree / "repro" / "bench" / "overhead.py").read_text()
+        drifted = [
+            fn.__name__
+            for fn in (_hot, *WORKLOADS.values())
+            if inspect.getsource(fn) not in pinned
+        ]
+        if drifted:
+            raise SystemExit(
+                "pepo bench overhead: workload source differs from "
+                f"reference commit {REFERENCE_COMMIT}'s: {', '.join(drifted)}"
+            )
+        child = subprocess.Popen(
+            [sys.executable, "-I", "-c", _LEGACY_SCRIPT, str(tree)],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+
+        def sample(workload: str, n: int) -> float:
+            child.stdin.write(f"{workload} {n}\n")
+            child.stdin.flush()
+            reply = child.stdout.readline()
+            if not reply:
+                raise RuntimeError(
+                    f"legacy tracer at {REFERENCE_COMMIT} failed:\n"
+                    f"{child.stderr.read()}"
+                )
+            return float(reply)
+
+        try:
+            yield sample
+        finally:
+            child.stdin.close()
+            child.wait()
+            child.stdout.close()
+            child.stderr.close()
+
+
 def _tracer_factories() -> dict[str, object]:
-    """Config name -> zero-arg factory producing a started-able tracer."""
+    """Config name -> zero-arg factory producing a started-able tracer
+    (the ``legacy`` column comes from :func:`_legacy_sampler`)."""
     from repro.profiler.runtime import MonitoringRuntime
-    from repro.profiler.tracer import EnergyTracer, LegacyEnergyTracer
+    from repro.profiler.tracer import EnergyTracer
     from repro.rapl.backends import SimulatedBackend
 
     backend = SimulatedBackend()
     factories: dict[str, object] = {
-        "legacy": lambda: LegacyEnergyTracer(backend, predicate=_predicate),
         "settrace": lambda: EnergyTracer(
             backend,
             predicate=_predicate,
@@ -336,10 +442,17 @@ def run_overhead_bench(
     overhead: dict[str, dict[str, float]] = {}
     perf_counter = time.perf_counter
 
-    def measure(name: str, workload, tracers: dict, hot_calls: int) -> None:
+    def measure(
+        name: str, workload, tracers: dict, hot_calls: int, legacy=None
+    ) -> None:
         baselines: list[float] = []
-        extra: dict[str, list[float]] = {config: [] for config in tracers}
+        configs = (["legacy"] if legacy is not None else []) + [*tracers]
+        extra: dict[str, list[float]] = {config: [] for config in configs}
         for _ in range(reps):
+            # The legacy sample comes first, so waiting on the child never
+            # splits this process's baseline from its tracers.
+            if legacy is not None:
+                extra["legacy"].append(legacy(name, n))
             start = perf_counter()
             workload(n)
             baseline = perf_counter() - start
@@ -359,9 +472,10 @@ def run_overhead_bench(
             for config, samples in extra.items()
         }
 
-    for name, workload in WORKLOADS.items():
-        workload(n)  # warm the code paths once
-        measure(name, workload, factories, n)
+    with _legacy_sampler() as legacy:
+        for name, workload in WORKLOADS.items():
+            workload(n)  # warm the code paths once
+            measure(name, workload, factories, n, legacy)
     follow_factories = _follow_tracer_factories()
     for name, workload in CONCURRENT_WORKLOADS.items():
         # The warm-up run also reports how many hot calls were made.

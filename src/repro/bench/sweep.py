@@ -38,16 +38,14 @@ a per-stage cProfile report of the live configurations to
 
 from __future__ import annotations
 
-import io
 import json
 import subprocess
 import sys
 import tempfile
-import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.bench.harness import best_of, default_project_dir
+from repro.bench.harness import best_of, default_project_dir, reference_tree
 from repro.views.tables import render_table
 
 #: Default output path, relative to the working directory.
@@ -63,9 +61,6 @@ MIN_PARALLEL_SPEEDUP = 2.0
 #: The measured baseline: the last commit before the cold-sweep
 #: overhaul.  Its engine runs from a ``git archive`` of this commit.
 REFERENCE_COMMIT = "749febe163cabc332711e447d68dd6f3dcb09ec5"
-
-# The checkout this module lives in (``<root>/src/repro/bench``).
-_REPO_ROOT = Path(__file__).resolve().parents[3]
 
 # Runs in ``python -I`` with the extracted reference tree first on
 # sys.path: times the old engine's serial sweep (best of ``repeats``)
@@ -107,30 +102,13 @@ class ReferenceRun:
 
 
 def run_reference(project: Path, repeats: int) -> ReferenceRun:
-    """Extract :data:`REFERENCE_COMMIT`'s ``src/repro`` and sweep
-    ``project`` with it in a fresh interpreter.
+    """Sweep ``project`` with :data:`REFERENCE_COMMIT`'s engine in a
+    fresh interpreter.
 
     Raises :class:`SystemExit` with a one-line message when the commit
-    cannot be read (a shallow clone, a source tarball, no ``git``).
+    cannot be read (see :func:`repro.bench.harness.reference_tree`).
     """
-    with tempfile.TemporaryDirectory(prefix="pepo-bench-reference-") as tmp:
-        tree = Path(tmp).resolve()
-        try:
-            archive = subprocess.run(
-                ["git", "-C", str(_REPO_ROOT), "archive", "--format=zip",
-                 "-0", "--prefix=repro/", f"{REFERENCE_COMMIT}:src/repro"],
-                capture_output=True,
-                check=True,
-            )
-        except (OSError, subprocess.CalledProcessError):
-            raise SystemExit(
-                "pepo bench sweep: cannot read reference commit "
-                f"{REFERENCE_COMMIT}; the sweep bench needs the "
-                "repository's git history (not a shallow clone or a "
-                "source tarball)"
-            ) from None
-        with zipfile.ZipFile(io.BytesIO(archive.stdout)) as files:
-            files.extractall(tree)
+    with reference_tree("sweep", REFERENCE_COMMIT) as tree:
         child = subprocess.run(
             [sys.executable, "-I", "-c", _REFERENCE_SCRIPT,
              str(tree), str(project), str(repeats)],

@@ -59,7 +59,7 @@ from repro.profiler.subproc import (
     capture_subprocesses,
     maybe_bootstrap,
 )
-from repro.profiler.tracer import EnergyTracer, LegacyEnergyTracer
+from repro.profiler.tracer import EnergyTracer
 
 __all__ = [
     "AmbiguousMainError",
@@ -67,7 +67,6 @@ __all__ = [
     "ConcurrentReplay",
     "EnergyTracer",
     "Injector",
-    "LegacyEnergyTracer",
     "MonitoringRuntime",
     "OverheadEstimate",
     "SetprofileRuntime",

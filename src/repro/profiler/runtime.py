@@ -24,7 +24,7 @@ Both runtimes record **deferred events**: flat tuples of raw counter
 reads pushed onto an append-only buffer.  No :class:`MethodRecord`, no
 dict of joules, no unit conversion happens inside the measured region;
 the buffers are replayed in a single pass at ``stop()`` (see
-:class:`repro.profiler.tracer.EnergyTracer`), and every replay builds
+:class:`repro.profiler.tracer.EnergyTracer`), and the replay builds
 its records through one :class:`_RecordBuilder` — as does the eager
 call recorder behind AST probes and injected wrappers
 (:class:`repro.profiler.probes.ProbeRuntime`).
@@ -42,19 +42,21 @@ Each runtime has **one** set of event handlers, and they always write
 into the calling thread's :class:`_ThreadState` — its buffer, open-call
 stack and last good reading.  ``follow_threads`` only decides which
 threads get a state.  Guarded mode (the default) gives one to the
-owner thread alone and counts every other thread's events as dropped;
-:func:`materialize` replays the owner's buffer.  Follow mode gives one
-to each thread on its first event — no locks on the hot path, because
-a buffer is only ever appended to by its own thread and only read
-after every hook is uninstalled.  :func:`materialize_concurrent` merges
-the per-thread buffers into one chronological sequence over the
-shared monotonic energy timeline and attributes each inter-reading
+owner thread alone and counts every other thread's events as dropped.
+Follow mode gives one to each thread on its first event — no locks on
+the hot path, because a buffer is only ever appended to by its own
+thread and only read after every hook is uninstalled.
+
+Both modes replay through one function, :func:`materialize_concurrent`.
+It merges the per-thread buffers into one chronological sequence over
+the shared monotonic energy timeline and attributes each inter-reading
 slice to the thread that produced the later reading (under the GIL,
 energy between two consecutive event readings was overwhelmingly
-consumed by the thread that reached the second one).  When only the
-owner thread produced events, the replay degenerates *bit-exactly* to
-:func:`materialize`: the foreign-energy correction subtracts running
-sums that are float-identical, so every record equals the sync path's.
+consumed by the thread that reached the second one).  With one buffer
+— guarded mode, or a follow-mode run whose other threads never called
+traced code — the foreign-energy correction subtracts running sums
+that are float-identical, so it is exactly zero and each record is the
+plain start/end delta of its call.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ import sys
 import threading
 from dataclasses import dataclass
 from types import CodeType
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from repro.profiler.records import MethodRecord
 from repro.rapl.backends import EnergySnapshot
@@ -79,8 +81,8 @@ _COMPREHENSION_NAMES = frozenset(
 
 #: Snapshot used when an event has no usable reading at all (the very
 #: first backend read failed).  Zero-valued, so the resulting delta is
-#: the end snapshot's cumulative value — same fallback as the legacy
-#: tracer — and the record is marked suspect via its ``ok`` flag.
+#: the end snapshot's cumulative value, and the record is marked
+#: suspect via its ``ok`` flag.
 _ZERO_SNAPSHOT = EnergySnapshot(joules={}, wall_seconds=0.0, cpu_seconds=0.0)
 
 
@@ -661,11 +663,12 @@ def resolve_runtime(name: str) -> list[type[_RuntimeBase]]:
 class _RecordBuilder:
     """The one place a closed call becomes a :class:`MethodRecord`.
 
-    Shared by every replay and by the probe/wrapper recorder: numbers each execution per method
-    (``call_index``, continuing ``counts`` across sessions), derives
-    exclusive energy from the call's accumulated children, and rolls
-    its inclusive energy up into the parent — the new top of the
-    thread's open-call stack.  Stack entries start with
+    Shared by the replay and by the probe/wrapper recorder: numbers
+    each execution per method (``call_index``, continuing ``counts``
+    across sessions), derives exclusive energy from the call's
+    accumulated children, and rolls its inclusive energy up into the
+    parent — the new top of the thread's open-call stack.  Stack
+    entries start with
     ``[meta_index, start_snapshot, start_ok, children_joules, task]``.
     """
 
@@ -729,49 +732,6 @@ class _RecordBuilder:
                 parent_children[dom] = parent_children.get(dom, 0.0) + value
 
 
-def materialize(
-    buffer: Iterable[tuple],
-    final_payload: object | None,
-    final_ok: bool,
-    metadata: Sequence[tuple[str, str, int]],
-    to_snapshots: Callable[[list], list[EnergySnapshot]],
-    counts: dict[str, int],
-) -> list[MethodRecord]:
-    """Replay a deferred event buffer into :class:`MethodRecord` objects.
-
-    This is the single pass that performs everything the hooks deferred:
-    unit conversion (via ``to_snapshots``), delta computation, exclusive
-    (self) energy attribution through the reconstructed call stack, and
-    record construction.  Calls left open when tracing stopped are
-    closed against the final reading, exactly like the legacy tracer.
-    """
-    events = list(buffer)
-    snapshots = to_snapshots(
-        [event[3] for event in events] + [final_payload]
-    )
-    final_snapshot = snapshots.pop()
-    builder = _RecordBuilder(metadata, counts)
-    # Open-call stack of _RecordBuilder entries; guarded mode follows
-    # no tasks.
-    stack: list[list] = []
-
-    def close(entry: list, end: EnergySnapshot, end_ok: bool) -> None:
-        delta = end.delta(entry[1])
-        builder.close(
-            entry, delta, dict(delta.joules), delta.cpu_seconds, end_ok, stack
-        )
-
-    for event, snapshot in zip(events, snapshots):
-        op, index, ok = event[0], event[1], event[2]
-        if op == OP_OPEN:
-            stack.append([index, snapshot, ok, {}, -1])
-        elif stack:
-            close(stack.pop(), snapshot, ok)
-    while stack:
-        close(stack.pop(), final_snapshot, final_ok)
-    return builder.records
-
-
 def _payload_wall(payload: object, fallback: float) -> float:
     """Wall-clock ordering key of a deferred payload.
 
@@ -831,11 +791,12 @@ def materialize_concurrent(
        minus the *foreign* energy other threads consumed inside the
        interval: ``foreign = Δtotal − Δown``.
 
-    When only one thread produced events, ``Δtotal`` and ``Δown`` are
-    built from float-identical sequences, the foreign term is exactly
-    ``0.0``, and every record comes out bit-exact against
-    :func:`materialize` — the sync path's behaviour is preserved, not
-    approximated.
+    Guarded mode passes the owner's buffer alone.  When only one thread
+    produced events, ``Δtotal`` and ``Δown`` are built from
+    float-identical sequences, the foreign term is exactly ``0.0``, and
+    every record is its call's plain start/end delta — bit-exact, not
+    approximated.  Calls left open when tracing stopped close against
+    the final reading.
     """
     # 1. Global chronological merge (stable: wall, then arrival seq).
     tagged: list[tuple[float, int, _ThreadState, tuple]] = []
@@ -855,8 +816,8 @@ def materialize_concurrent(
     builder = _RecordBuilder(metadata, counts, task_names)
     # 3. Slice-attribution accumulators.  ``total_*`` and each thread's
     # ``own_*`` see identical float additions when one thread runs, so
-    # their differences cancel exactly (bit-exact sync parity).  Keyed
-    # by id(state): distinct states can share a recycled OS ident.
+    # their differences cancel exactly.  Keyed by id(state): distinct
+    # states can share a recycled OS ident.
     total_joules: dict = {}
     total_cpu = 0.0
     own_joules: dict[int, dict] = {id(s): {} for s in states}
@@ -971,7 +932,7 @@ def materialize_concurrent(
 def snapshot_converter(
     backend, raw_mode: bool
 ) -> Callable[[list], list[EnergySnapshot]]:
-    """Build the payload→snapshot conversion for :func:`materialize`.
+    """Build the replay's payload→snapshot conversion.
 
     Raw mode hands the chronological reading list to the backend's
     ``materialize_raw`` (wrap handling is order-sensitive); full-snapshot

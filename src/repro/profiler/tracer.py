@@ -21,9 +21,12 @@ Each runtime has one set of event handlers.  They always append
 buffer; ``follow_threads`` only decides which threads get one (the
 owner alone, or every thread).
 
-``runtime="auto"`` (default) picks the best available one.  The
-original, unoptimized hook survives as :class:`LegacyEnergyTracer` —
-the baseline that ``pepo bench overhead`` measures against.
+``runtime="auto"`` (default) picks the best available one.  At
+:meth:`EnergyTracer.stop` the buffers are replayed in one pass by
+:func:`~repro.profiler.runtime.materialize_concurrent`, in both modes.
+``pepo bench overhead`` measures this tracer against the original
+per-event one, which it runs from a pinned commit
+(:data:`repro.bench.overhead.REFERENCE_COMMIT`).
 
 Attribution model
 -----------------
@@ -60,25 +63,21 @@ boundaries.
 
 from __future__ import annotations
 
-import sys
 import threading
 import time
 import warnings
-from dataclasses import dataclass, field
 from pathlib import Path
-from types import FrameType
 from typing import Callable, Sequence
 
 from repro.profiler.records import MethodRecord, ProfileResult
 from repro.profiler.runtime import (
     CodeFilter,
     OverheadEstimate,
-    materialize,
     materialize_concurrent,
     resolve_runtime,
     snapshot_converter,
 )
-from repro.rapl.backends import EnergySnapshot, RaplBackend, default_backend
+from repro.rapl.backends import RaplBackend, default_backend
 from repro.rapl.domains import Domain
 
 _PROFILER_DIR = str(Path(__file__).resolve().parent)
@@ -132,14 +131,6 @@ def _calibrate(
     recorded = cost(lambda name: name.endswith("calibration_target"))
     passthrough = cost(lambda name: False)
     return recorded, passthrough
-
-
-def _qualify(frame: FrameType) -> str:
-    """Paper-style name: module + qualified function name."""
-    code = frame.f_code
-    module = frame.f_globals.get("__name__", "?")
-    qualname = getattr(code, "co_qualname", code.co_name)
-    return f"{module}.{qualname}"
 
 
 class EnergyTracer:
@@ -324,34 +315,25 @@ class EnergyTracer:
         except OSError:
             final_payload = impl.owner_state.last_payload
             final_ok = False
-        converter = snapshot_converter(self.backend, self._raw_mode)
-        if self._follow_threads:
-            replay = materialize_concurrent(
-                impl.thread_states(),
-                final_payload,
-                final_ok,
-                self._filter.metadata,
-                converter,
-                self._counts,
-                impl.task_names,
+        # Guarded mode registered the owner alone, so both modes replay
+        # through the same merge.
+        replay = materialize_concurrent(
+            impl.thread_states(),
+            final_payload,
+            final_ok,
+            self._filter.metadata,
+            snapshot_converter(self.backend, self._raw_mode),
+            self._counts,
+            impl.task_names,
+        )
+        records = replay.records
+        for dom, value in replay.timeline_joules.items():
+            self.result.timeline_joules[dom] = (
+                self.result.timeline_joules.get(dom, 0.0) + value
             )
-            records = replay.records
-            for dom, value in replay.timeline_joules.items():
-                self.result.timeline_joules[dom] = (
-                    self.result.timeline_joules.get(dom, 0.0) + value
-                )
-            for dom, value in replay.unattributed_joules.items():
-                self.result.unattributed_joules[dom] = (
-                    self.result.unattributed_joules.get(dom, 0.0) + value
-                )
-        else:
-            records = materialize(
-                impl.owner_state.buffer,
-                final_payload,
-                final_ok,
-                self._filter.metadata,
-                converter,
-                self._counts,
+        for dom, value in replay.unattributed_joules.items():
+            self.result.unattributed_joules[dom] = (
+                self.result.unattributed_joules.get(dom, 0.0) + value
             )
         self.result.extend(records)
         if impl.dropped_events:
@@ -430,174 +412,3 @@ class EnergyTracer:
             joules=seconds * mean_power,
         )
 
-
-class LegacyEnergyTracer:
-    """The original per-event tracer, kept as the overhead baseline.
-
-    Pays the full cost inside the hook on every event: prefix-scan
-    filtering, a converted :class:`EnergySnapshot`, and eager
-    :class:`MethodRecord` construction.  ``pepo bench overhead``
-    measures :class:`EnergyTracer` against this.  Do not use it for new
-    measurements.
-    """
-
-    @dataclass
-    class _OpenCall:
-        """A call that has entered but not yet returned."""
-
-        frame_id: int
-        method: str
-        filename: str
-        lineno: int
-        start: EnergySnapshot
-        children_joules: dict[Domain, float] = field(default_factory=dict)
-        suspect: bool = False
-
-    def __init__(
-        self,
-        backend: RaplBackend | None = None,
-        include: Sequence[str] = (),
-        exclude: Sequence[str] = (),
-        predicate: Callable[[str], bool] | None = None,
-        trace_comprehensions: bool = False,
-    ) -> None:
-        self.backend = backend or default_backend()
-        self._include = tuple(include)
-        self._exclude = (_PROFILER_DIR, "<frozen", *exclude)
-        self._predicate = predicate
-        self._trace_comprehensions = trace_comprehensions
-        self.result = ProfileResult()
-        self._stack: list[LegacyEnergyTracer._OpenCall] = []
-        self._active = False
-        self._owner_thread: int | None = None
-        self._counts: dict[str, int] = {}
-        self._last_snapshot: EnergySnapshot | None = None
-        self._prior_profile: object | None = None
-
-    def _safe_snapshot(self) -> tuple[EnergySnapshot, bool]:
-        """Snapshot the backend without letting a fault kill the trace.
-
-        A failed read must not raise *inside the profile hook* — that
-        would abort the traced workload — so the last good snapshot
-        (or a zero snapshot) stands in and the affected records are
-        marked suspect.
-        """
-        try:
-            snap = self.backend.snapshot()
-        except OSError:
-            fallback = self._last_snapshot or EnergySnapshot(
-                joules={}, wall_seconds=0.0, cpu_seconds=0.0
-            )
-            return fallback, False
-        self._last_snapshot = snap
-        return snap, True
-
-    # -- lifecycle -----------------------------------------------------
-
-    def start(self) -> None:
-        if self._active:
-            raise RuntimeError("tracer is already active")
-        self._active = True
-        self._owner_thread = threading.get_ident()
-        self._prior_profile = sys.getprofile()
-        sys.setprofile(self._profile)
-
-    def stop(self) -> None:
-        # Restore whatever hook was installed before start() (coverage,
-        # a debugger) instead of clobbering it with None.
-        sys.setprofile(self._prior_profile)
-        self._prior_profile = None
-        self._active = False
-        # Close any calls left open (e.g. the with-block frame) so their
-        # energy is not silently lost.
-        end, end_ok = self._safe_snapshot()
-        while self._stack:
-            self._close(self._stack.pop(), end, end_ok=end_ok)
-        if getattr(self.backend, "degraded", False):
-            self.result.degraded = True
-
-    def __enter__(self) -> "LegacyEnergyTracer":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-    # -- filtering -----------------------------------------------------
-
-    _COMPREHENSION_NAMES = frozenset(
-        {"<genexpr>", "<listcomp>", "<dictcomp>", "<setcomp>"}
-    )
-
-    def _should_trace(self, frame: FrameType) -> bool:
-        if (
-            not self._trace_comprehensions
-            and frame.f_code.co_name in self._COMPREHENSION_NAMES
-        ):
-            return False
-        filename = frame.f_code.co_filename
-        for prefix in self._exclude:
-            if filename.startswith(prefix):
-                return False
-        if self._include and not any(
-            filename.startswith(prefix) for prefix in self._include
-        ):
-            return False
-        if self._predicate is not None and not self._predicate(_qualify(frame)):
-            return False
-        return True
-
-    # -- the profile hook ------------------------------------------------
-
-    def _profile(self, frame: FrameType, event: str, arg: object) -> None:
-        # Only the thread that started the tracer records; we keep one
-        # coherent stack (documented single-thread scope).
-        if threading.get_ident() != self._owner_thread:
-            return
-        if event == "call":
-            if self._should_trace(frame):
-                start, start_ok = self._safe_snapshot()
-                self._stack.append(
-                    self._OpenCall(
-                        frame_id=id(frame),
-                        method=_qualify(frame),
-                        filename=frame.f_code.co_filename,
-                        lineno=frame.f_code.co_firstlineno,
-                        start=start,
-                        suspect=not start_ok,
-                    )
-                )
-        elif event == "return":
-            if self._stack and self._stack[-1].frame_id == id(frame):
-                end, end_ok = self._safe_snapshot()
-                self._close(self._stack.pop(), end, end_ok=end_ok)
-
-    def _close(
-        self, call: "_OpenCall", end: EnergySnapshot, end_ok: bool = True
-    ) -> None:
-        delta = end.delta(call.start)
-        exclusive = {
-            dom: delta.joules.get(dom, 0.0) - call.children_joules.get(dom, 0.0)
-            for dom in delta.joules
-        }
-        index = self._counts.get(call.method, 0)
-        self._counts[call.method] = index + 1
-        self.result.add(
-            MethodRecord(
-                method=call.method,
-                filename=call.filename,
-                lineno=call.lineno,
-                call_index=index,
-                wall_seconds=delta.wall_seconds,
-                cpu_seconds=delta.cpu_seconds,
-                joules=dict(delta.joules),
-                exclusive_joules=exclusive,
-                suspect=call.suspect or not end_ok or delta.suspect,
-            )
-        )
-        if self._stack:
-            parent = self._stack[-1]
-            for dom, joules in delta.joules.items():
-                parent.children_joules[dom] = (
-                    parent.children_joules.get(dom, 0.0) + joules
-                )

@@ -33,6 +33,11 @@ class Domain(enum.Enum):
     DRAM = "dram"
     PSYS = "psys"
 
+    # Members are singletons, so identity hashing agrees with enum
+    # equality; it skips ``Enum.__hash__``, a Python-level call on every
+    # dict access keyed by a domain (the replay's per-record cost).
+    __hash__ = object.__hash__
+
     @property
     def pretty(self) -> str:
         """Human-readable name used in reports (e.g. ``Package``)."""

@@ -1,7 +1,15 @@
-"""Tests for the ``pepo bench overhead`` tracer-overhead benchmark."""
+"""Tests for the ``pepo bench overhead`` tracer-overhead benchmark.
+
+Its ``legacy`` column runs the tracer at
+:data:`repro.bench.overhead.REFERENCE_COMMIT` from a ``git archive``, so
+the tests that run the bench need that commit in the git history.
+"""
 
 import json
 
+import pytest
+
+from repro.bench import overhead
 from repro.bench.harness import write_bench_json
 from repro.bench.overhead import (
     CONCURRENT_NOISE_FLOOR_S,
@@ -13,12 +21,15 @@ from repro.bench.overhead import (
 )
 from repro.profiler.runtime import MonitoringRuntime
 
+needs_legacy = pytest.mark.reference_commit(overhead.REFERENCE_COMMIT)
+
 
 def tiny_run() -> OverheadBenchResult:
     return run_overhead_bench(calls=200, repeats=1)
 
 
 class TestOverheadBench:
+    @needs_legacy
     def test_measures_every_workload_and_config(self):
         result = tiny_run()
         new_configs = {"settrace"} | (
@@ -34,6 +45,7 @@ class TestOverheadBench:
             )
             assert all(cost >= 0.0 for cost in configs.values())
 
+    @needs_legacy
     def test_new_runtime_matches_interpreter(self):
         result = tiny_run()
         expected = (
@@ -98,12 +110,14 @@ class TestOverheadBench:
         # Threaded over budget fails.
         assert not make(limit * 1.5, 0.0).meets_target()
 
+    @needs_legacy
     def test_concurrent_workloads_have_no_legacy_speedup(self):
         result = tiny_run()
         speedups = result.speedups()
         for workload in CONCURRENT_WORKLOADS:
             assert workload not in speedups
 
+    @needs_legacy
     def test_json_output_is_valid_and_finite(self, tmp_path):
         result = tiny_run()
         path = write_bench_json(result, tmp_path / "BENCH_overhead.json")
@@ -114,9 +128,37 @@ class TestOverheadBench:
         # Infinite speedups are serialized as null, never Infinity.
         assert "Infinity" not in path.read_text()
 
+    @needs_legacy
     def test_render_mentions_every_config(self):
         result = tiny_run()
         rendered = render_overhead_bench(result)
         assert "legacy" in rendered
         assert "settrace" in rendered
         assert "Overhead/call" in rendered
+
+    def test_unreadable_reference_commit_fails_in_one_line(self, monkeypatch):
+        unknown = "0" * 40
+        monkeypatch.setattr(overhead, "REFERENCE_COMMIT", unknown)
+        with pytest.raises(SystemExit) as failure:
+            tiny_run()
+        message = str(failure.value)
+        assert message.startswith("pepo bench overhead: ")
+        assert unknown in message
+        assert "git history" in message
+        assert "\n" not in message
+
+    @needs_legacy
+    def test_edited_workload_fails_in_one_line(self, monkeypatch):
+        # The legacy column times the pinned commit's workloads; a live
+        # workload that no longer matches them would compare unlike runs.
+        def bytecode_workload(n: int) -> int:
+            return n
+
+        monkeypatch.setitem(overhead.WORKLOADS, "bytecode", bytecode_workload)
+        with pytest.raises(SystemExit) as failure:
+            tiny_run()
+        message = str(failure.value)
+        assert message.startswith("pepo bench overhead: ")
+        assert message.endswith(": bytecode_workload")
+        assert overhead.REFERENCE_COMMIT in message
+        assert "\n" not in message

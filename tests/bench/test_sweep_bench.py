@@ -3,7 +3,6 @@ pinned in :data:`repro.bench.sweep.REFERENCE_COMMIT`, run from a
 ``git archive`` in a fresh interpreter, and the bench still fails when
 the live engine drops findings."""
 
-import subprocess
 from pathlib import Path
 
 import pytest
@@ -32,20 +31,7 @@ def churn(rows):
 """
 
 
-@pytest.fixture(autouse=True)
-def _needs_reference_commit():
-    try:
-        found = subprocess.run(
-            ["git", "-C", str(sweep._REPO_ROOT), "cat-file", "-e",
-             f"{sweep.REFERENCE_COMMIT}^{{commit}}"],
-            capture_output=True,
-        ).returncode == 0
-    except OSError:
-        found = False
-    if not found:
-        pytest.skip(
-            f"git history lacks reference commit {sweep.REFERENCE_COMMIT}"
-        )
+pytestmark = pytest.mark.reference_commit(sweep.REFERENCE_COMMIT)
 
 
 @pytest.fixture

@@ -260,6 +260,17 @@ class TestSingleThreadedParity:
         assert followed == plain
         assert len(plain) > 0
 
+    def test_timeline_and_unattributed_identical(self, runtime):
+        # Both modes replay through one merge, so guarded mode reports
+        # the same timeline and unattributed energy, to the last bit.
+        plain = self._run(runtime, follow=False)
+        followed = self._run(runtime, follow=True)
+        assert plain.timeline_joules
+        assert repr(plain.timeline_joules) == repr(followed.timeline_joules)
+        assert repr(plain.unattributed_joules) == repr(
+            followed.unattributed_joules
+        )
+
     def test_result_txt_bytes_identical(self, runtime, tmp_path):
         path_a = tmp_path / "plain.txt"
         path_b = tmp_path / "followed.txt"

@@ -6,7 +6,9 @@ filter memo, the deferred-materialization parity guarantees and the
 self-overhead estimate.
 """
 
+import dataclasses
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +17,7 @@ from repro.profiler.runtime import (
     MonitoringRuntime,
     OverheadEstimate,
 )
-from repro.profiler.tracer import EnergyTracer, LegacyEnergyTracer
+from repro.profiler.tracer import EnergyTracer
 from repro.rapl.backends import SimulatedBackend, VirtualClock
 from repro.rapl.domains import Domain
 
@@ -78,33 +80,41 @@ def _workload(clock):
 def _run(runtime: str) -> list:
     backend = SimulatedBackend(clock=VirtualClock())
     top = _workload(backend.clock)
-    if runtime == "legacy":
-        tracer = LegacyEnergyTracer(backend, predicate=_predicate)
-    else:
-        tracer = EnergyTracer(
-            backend,
-            predicate=_predicate,
-            runtime=runtime,
-            estimate_overhead=False,
-        )
+    tracer = EnergyTracer(
+        backend,
+        predicate=_predicate,
+        runtime=runtime,
+        estimate_overhead=False,
+    )
     with tracer:
         top()
     return list(tracer.result)
 
 
+#: ``repr`` of every guarded ``settrace`` record of :func:`_workload`,
+#: one a line, with ``filename`` cut to its base name and ``lineno``
+#: counted from ``_workload``'s ``def`` line so the pin survives moves.
+#: Captured where each record's (method, call_index, wall_seconds,
+#: joules) was checked equal to the original per-event tracer's.
+PINNED_RECORDS = Path(__file__).parents[1] / "fixtures" / "tracer_records.txt"
+
+
 class TestBackendParity:
     """Satellite: both runtimes must produce interchangeable profiles."""
 
-    def test_settrace_matches_legacy_exactly(self):
-        new = _run("settrace")
-        legacy = _run("legacy")
-        assert [
-            (r.method, r.call_index, r.wall_seconds, dict(r.joules))
-            for r in new
-        ] == [
-            (r.method, r.call_index, r.wall_seconds, dict(r.joules))
-            for r in legacy
+    def test_settrace_matches_pinned_records(self):
+        first_line = _workload.__code__.co_firstlineno
+        actual = [
+            repr(
+                dataclasses.replace(
+                    r,
+                    filename=Path(r.filename).name,
+                    lineno=r.lineno - first_line,
+                )
+            )
+            for r in _run("settrace")
         ]
+        assert actual == PINNED_RECORDS.read_text().splitlines()
 
     @requires_monitoring
     def test_monitoring_matches_settrace_exactly(self):
@@ -126,21 +136,17 @@ class TestBackendParity:
 class TestPriorProfileHook:
     """Satellite: stop() must restore, not clobber, a prior hook."""
 
-    @pytest.mark.parametrize("tracer_cls", [EnergyTracer, LegacyEnergyTracer])
-    def test_prior_hook_saved_and_restored(self, tracer_cls):
+    def test_prior_hook_saved_and_restored(self):
         def sentinel(frame, event, arg):
             pass
 
         backend = SimulatedBackend(clock=VirtualClock())
-        if tracer_cls is EnergyTracer:
-            tracer = tracer_cls(
-                backend,
-                predicate=_predicate,
-                runtime="settrace",
-                estimate_overhead=False,
-            )
-        else:
-            tracer = tracer_cls(backend, predicate=_predicate)
+        tracer = EnergyTracer(
+            backend,
+            predicate=_predicate,
+            runtime="settrace",
+            estimate_overhead=False,
+        )
         sys.setprofile(sentinel)
         try:
             with tracer:
