@@ -41,9 +41,6 @@ class Analyzer:
         ``Analyzer``.
     extended:
         Also run the extension rules (paper future work: R14 onward).
-    honor_suppressions:
-        Drop findings on lines carrying ``# pepo: ignore[...]`` comments
-        (default True; disable to audit suppressed code).
     registry:
         Registry supplying the default rule set; the process-wide
         :data:`repro.rules.REGISTRY` when omitted.
@@ -59,13 +56,16 @@ class Analyzer:
         the ``cold-project`` benchmark's oracle
         (``perfbench/pepobench/cold_project.py``), which checks every
         sweep against an unfiltered, eager analysis.
+
+    Findings on lines carrying ``# pepo: ignore[...]`` comments are
+    dropped; :meth:`analyze_source_full` returns them separately for
+    auditing.
     """
 
     def __init__(
         self,
         rules: Sequence[type[Rule]] | None = None,
         extended: bool = False,
-        honor_suppressions: bool = True,
         registry=None,
         prefilter: bool = True,
         eager_semantics: bool = False,
@@ -78,7 +78,6 @@ class Analyzer:
             registry_fingerprint = registry.fingerprint()
         self._rule_classes: tuple[type[Rule], ...] = tuple(rules)
         self._rules: list[Rule] = [rule_class() for rule_class in rules]
-        self._honor_suppressions = honor_suppressions
         self._registry_fingerprint = registry_fingerprint
         self._prefilter = prefilter
         self._eager_semantics = eager_semantics
@@ -114,9 +113,9 @@ class Analyzer:
         """``(kept, suppressed)`` findings for one source string.
 
         The suppressed list carries provenance: which findings were
-        silenced by ``# pepo: ignore[...]`` comments (empty when the
-        analyzer was built with ``honor_suppressions=False`` — then
-        everything is kept).
+        silenced by ``# pepo: ignore[...]`` comments.  ``kept +
+        suppressed`` is every finding the rules raised, so auditing
+        suppressed code needs no separate mode.
         """
         # Parse before pre-filtering: a broken file must raise
         # SyntaxError whether or not any rule would have run on it.
@@ -136,11 +135,7 @@ class Analyzer:
             )
             findings: list[Finding] = []
             self._walk(tree, ctx, findings, active)
-        suppressed: list[Finding] = []
-        if self._honor_suppressions:
-            findings, suppressed = apply_suppressions(
-                findings, source, tree=tree
-            )
+        findings, suppressed = apply_suppressions(findings, source, tree=tree)
         findings.sort()
         suppressed.sort()
         return findings, suppressed
@@ -198,7 +193,6 @@ class Analyzer:
 
         return AnalyzeJob(
             rule_classes=self._rule_classes,
-            honor_suppressions=self._honor_suppressions,
             registry_fingerprint=self._registry_fingerprint,
             prefilter=self._prefilter,
             eager_semantics=self._eager_semantics,

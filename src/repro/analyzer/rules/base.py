@@ -243,12 +243,15 @@ class Rule(abc.ABC):
     #: (the default: never pre-filtered), which is always sound.
     triggers: tuple[str, ...] | None = None
 
-    #: Which semantic-model fact families this rule consumes — any of
-    #: ``"scopes"`` (binding resolution), ``"types"`` (inference), and
-    #: ``"hotness"`` (loop depth).  Purely declarative today (the model
-    #: is built once per file regardless), but it documents each rule's
-    #: evidence base and lets tooling audit which rules are still
-    #: syntax-only.  Must be a subset of :data:`SEMANTIC_FACTS`.
+    #: Which semantic-model fact families this rule consumes — e.g.
+    #: ``"scopes"`` (binding resolution), ``"types"`` (inference),
+    #: ``"hotness"`` (loop depth) or ``"dataflow"``.  Purely
+    #: declarative: the engine does not read it, because each fact is
+    #: built lazily on the first query that needs it (see
+    #: :class:`~repro.semantics.model.SemanticModel`).  It documents
+    #: each rule's evidence base and lets tooling (``pepo rules``) audit
+    #: which rules are still syntax-only.  Must be a subset of
+    #: :data:`SEMANTIC_FACTS`.
     semantic_facts: tuple[str, ...] = ()
 
     #: Bump when the rule's detection logic changes.  The registry

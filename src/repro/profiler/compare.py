@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.profiler.records import ProfileResult
+from repro.rapl.domains import Domain
 from repro.views.tables import render_table
 
 
@@ -78,8 +79,15 @@ class ProfileComparison:
     def deltas(self) -> list[MethodDelta]:
         return list(self._deltas)
 
-    def total_improvement_percent(self) -> float:
-        """Whole-workload improvement on exclusive package energy."""
+    def total_improvement_percent(self) -> float | None:
+        """Whole-workload improvement on exclusive package energy.
+
+        ``None`` when either profile carries no exclusive energy, as
+        profiles read back from ``result.txt`` do: both totals would
+        read 0 J and the improvement a made-up +0.0 %.
+        """
+        if not (_has_exclusive(self.before) and _has_exclusive(self.after)):
+            return None
         before = self.before.total_package_joules()
         after = self.after.total_package_joules()
         if before <= 0:
@@ -97,6 +105,14 @@ class ProfileComparison:
 
     def render(self, limit: int | None = 15) -> str:
         rows = self._deltas if limit is None else self._deltas[:limit]
+        total = self.total_improvement_percent()
+        if total is None:
+            summary = (
+                "n/a: a profile has no exclusive energy "
+                "(result.txt stores inclusive energy only)"
+            )
+        else:
+            summary = f"{total:+.1f} %"
         return render_table(
             headers=("Method", "Before (J)", "After (J)", "Δ (%)", "Status"),
             rows=[
@@ -109,8 +125,9 @@ class ProfileComparison:
                 )
                 for d in rows
             ],
-            title=(
-                "Profile comparison — total improvement "
-                f"{self.total_improvement_percent():+.1f} %"
-            ),
+            title=f"Profile comparison — total improvement {summary}",
         )
+
+
+def _has_exclusive(result: ProfileResult) -> bool:
+    return any(Domain.PACKAGE in r.exclusive_joules for r in result)

@@ -400,8 +400,7 @@ class ResultFile:
     order (contexts as ``(pid, thread_id, thread_name, task_name)``,
     the argument order of :func:`context_label`);
     ``method_code``/``context_code`` index into them row by row.  The
-    four float columns are numpy arrays when the parse was given numpy,
-    lists of floats otherwise.
+    four float columns are lists of Python floats.
     """
 
     degraded: bool = False
@@ -414,13 +413,13 @@ class ResultFile:
     context_code: list[int] = field(default_factory=list)
     call_index: list[int] = field(default_factory=list)
     suspect: list[bool] = field(default_factory=list)
-    wall: Sequence[float] = ()
-    cpu: Sequence[float] = ()
-    package: Sequence[float] = ()
-    core: Sequence[float] = ()
+    wall: list[float] = field(default_factory=list)
+    cpu: list[float] = field(default_factory=list)
+    package: list[float] = field(default_factory=list)
+    core: list[float] = field(default_factory=list)
 
 
-def parse_result_txt(path: str | Path, np=None) -> ResultFile:
+def parse_result_txt(path: str | Path) -> ResultFile:
     """Read a ``result.txt`` once into a :class:`ResultFile`.
 
     The one reader of the format :meth:`ProfileResult.write_result_txt`
@@ -431,8 +430,7 @@ def parse_result_txt(path: str | Path, np=None) -> ResultFile:
     before those tokens existed (plain 5/6-column lines) still parse.
     Methods and contexts are interned and ``call_index`` counted in the
     same loop; the numeric columns are converted in one batch by
-    :func:`parse_float_columns` (numpy arrays with ``np``, float lists
-    without).
+    :func:`parse_float_columns`.
 
     The file is UTF-8, as the writer writes it.  Every malformation
     raises a :class:`ResultFileError` naming the path and line: a byte
@@ -522,38 +520,30 @@ def parse_result_txt(path: str | Path, np=None) -> ResultFile:
     parsed.methods = list(method_ids)
     parsed.contexts = list(context_ids)
     parsed.wall, parsed.cpu, parsed.package, parsed.core = (
-        parse_float_columns(raw, linenos, path, np=np).values()
+        parse_float_columns(raw, linenos, path).values()
     )
     return parsed
 
 
 def parse_float_columns(
-    columns: dict[str, list[str]],
-    linenos: Sequence[int],
-    path: object,
-    np=None,
-) -> dict:
+    columns: dict[str, list[str]], linenos: Sequence[int], path: object
+) -> dict[str, list[float]]:
     """Batch-convert the numeric ``result.txt`` columns, validating energy.
 
     ``columns`` maps column name → list of raw strings (one per data
-    line).  With ``np`` each column comes back as a float64 array (one
-    vectorized conversion; the run store passes numpy); without it as
-    a list of Python floats (per-value ``float()``).  Both are
-    correctly-rounded decimal→binary conversions, so the values are
-    identical.
+    line); each comes back as a list of Python floats.  ``float()`` is
+    a correctly-rounded decimal→binary conversion, so the run store's
+    ``np.asarray(values, dtype=np.float64)`` holds the same bits a
+    vectorized numpy parse would.
 
     Unparseable values, and NaN, infinite or negative values in the
-    energy columns, raise a line-numbered :class:`ResultFileError`
-    whose message is the same byte for byte on either path.
+    energy columns, raise a line-numbered :class:`ResultFileError`.
     """
     isfinite = math.isfinite
-    out: dict = {}
+    out: dict[str, list[float]] = {}
     for name, raw in columns.items():
         try:
-            if np is None:
-                values = [float(token) for token in raw]
-            else:
-                values = np.asarray(raw, dtype=np.float64)
+            values = [float(token) for token in raw]
         except ValueError:
             # Pinpoint the offending line the slow way; conversion
             # errors are the cold path.
@@ -566,17 +556,13 @@ def parse_float_columns(
                         f"{path}:{linenos[i]}: could not parse "
                         f"{name} value {token!r}"
                     ) from None
-            raise  # pragma: no cover - asarray failed, floats didn't
+            raise  # pragma: no cover - the scan above re-raises first
         if name in ("package_joules", "core_joules"):
-            if np is None:
-                bad = [
-                    i
-                    for i, value in enumerate(values)
-                    if not (value >= 0.0 and isfinite(value))
-                ]
-            else:
-                mask = ~np.isfinite(values) | (values < 0.0)
-                bad = np.flatnonzero(mask).tolist()
+            bad = [
+                i
+                for i, value in enumerate(values)
+                if not (value >= 0.0 and isfinite(value))
+            ]
             if bad:
                 raise ResultFileError(
                     # pepo: ignore[R04_GLOBAL_IN_LOOP] raised once, on exit

@@ -95,6 +95,13 @@ class CodeFilter:
     reference to every classified code object is kept for the filter's
     lifetime so the id can never be recycled.
 
+    Comprehension and generator-expression frames are never traced on
+    their own: each would surface as one record per element, swamping
+    the profile and the run time, and their energy lands in the
+    enclosing function's record anyway.  On Python ≥ 3.12 list, dict
+    and set comprehensions are inlined (PEP 709) and have no frame of
+    their own, so only generator expressions are skipped there.
+
     The memo maps ``id(code)`` to an index into :attr:`metadata`
     (``(method, filename, lineno)`` tuples) or to -1 for code that must
     not be traced.
@@ -110,7 +117,6 @@ class CodeFilter:
         "_include",
         "_exclude",
         "_predicate",
-        "_trace_comprehensions",
         "memo",
         "metadata",
         "_pinned",
@@ -122,12 +128,10 @@ class CodeFilter:
         include: Sequence[str] = (),
         exclude: Sequence[str] = (),
         predicate: Callable[[str], bool] | None = None,
-        trace_comprehensions: bool = False,
     ) -> None:
         self._include = tuple(include)
         self._exclude = tuple(exclude)
         self._predicate = predicate
-        self._trace_comprehensions = trace_comprehensions
         self.memo: dict[int, int] = {}
         self.metadata: list[tuple[str, str, int]] = []
         self._pinned: list[CodeType] = []
@@ -151,10 +155,7 @@ class CodeFilter:
         return index
 
     def _decide(self, code: CodeType, globals_: dict) -> int:
-        if (
-            not self._trace_comprehensions
-            and code.co_name in _COMPREHENSION_NAMES
-        ):
+        if code.co_name in _COMPREHENSION_NAMES:
             return -1
         filename = code.co_filename
         for prefix in self._exclude:

@@ -8,16 +8,13 @@ render the profiler view.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from repro.profiler.report import ProfilerReport
 from repro.profiler.records import ProfileResult
 from repro.profiler.source_instrumenter import SourceInstrumenter, find_main_classes
 from repro.profiler.tracer import EnergyTracer
 from repro.rapl.backends import RaplBackend, default_backend
-
-if TYPE_CHECKING:
-    from repro.resilience.policy import ResiliencePolicy
 
 
 class AmbiguousMainError(RuntimeError):
@@ -41,25 +38,14 @@ class ProfilerSession:
     ----------
     backend:
         Energy source; defaults to :func:`repro.rapl.default_backend`.
-    resilience:
-        Optional :class:`~repro.resilience.policy.ResiliencePolicy`;
-        when given, the backend is wrapped in a
-        :class:`~repro.resilience.resilient.ResilientBackend` so the
-        session survives backend faults mid-profile and degraded runs
-        are flagged in the resulting :class:`ProfileResult`.
+        To survive backend faults, pass a
+        :class:`~repro.resilience.resilient.ResilientBackend` (as
+        ``PEPO(resilience=...)`` does); a degraded backend marks each
+        :class:`ProfileResult` it produces as degraded.
     """
 
-    def __init__(
-        self,
-        backend: RaplBackend | None = None,
-        resilience: "ResiliencePolicy | None" = None,
-    ) -> None:
-        backend = backend or default_backend()
-        if resilience is not None:
-            from repro.resilience.resilient import ResilientBackend
-
-            backend = ResilientBackend(backend, resilience)
-        self.backend = backend
+    def __init__(self, backend: RaplBackend | None = None) -> None:
+        self.backend = backend or default_backend()
 
     def _stamp_provenance(self, result: ProfileResult) -> ProfileResult:
         """Propagate the backend's degraded flag onto the result."""
@@ -71,7 +57,6 @@ class ProfilerSession:
         self,
         project_dir: str | Path,
         main: str | Path | None = None,
-        write_result: bool = True,
         follow_threads: bool = False,
         follow_tasks: bool = False,
         follow_subprocesses: bool = False,
@@ -115,8 +100,7 @@ class ProfilerSession:
             result = self._stamp_provenance(
                 instrumenter.run_path(main_path, module_name="__main__")
             )
-        if write_result:
-            result.write_result_txt(project_dir / "result.txt")
+        result.write_result_txt(project_dir / "result.txt")
         return result
 
     def _run_traced(
@@ -144,17 +128,15 @@ class ProfilerSession:
         return self._stamp_provenance(tracer.result)
 
     def profile_callable(
-        self, fn: Callable[[], object], runtime: str = "auto", **follow: bool
+        self, fn: Callable[[], object], **follow: bool
     ) -> ProfileResult:
         """Trace one callable with the interpreter-level tracer.
 
-        ``runtime`` selects the hook implementation: ``"auto"``
-        (default) prefers ``sys.monitoring`` on Python ≥ 3.12,
-        ``"monitoring"``/``"settrace"`` force one.  ``follow_threads``/
-        ``follow_tasks``/``follow_subprocesses`` pass through to
-        :class:`EnergyTracer`.
+        The tracer picks its hook runtime itself (``sys.monitoring`` on
+        Python ≥ 3.12, ``sys.setprofile`` before).  ``follow_threads``/``follow_tasks``/
+        ``follow_subprocesses`` pass through to :class:`EnergyTracer`.
         """
-        tracer = EnergyTracer(self.backend, runtime=runtime, **follow)
+        tracer = EnergyTracer(self.backend, **follow)
         with tracer:
             fn()
         return self._stamp_provenance(tracer.result)
@@ -165,9 +147,7 @@ class ProfilerSession:
 
 
 def profile_call(
-    fn: Callable[[], object],
-    backend: RaplBackend | None = None,
-    runtime: str = "auto",
+    fn: Callable[[], object], backend: RaplBackend | None = None
 ) -> ProfileResult:
     """One-shot convenience: profile ``fn()`` and return the records."""
-    return ProfilerSession(backend).profile_callable(fn, runtime=runtime)
+    return ProfilerSession(backend).profile_callable(fn)

@@ -151,14 +151,9 @@ class EnergyTracer:
         Additional filename prefixes to skip.
     predicate:
         Optional final veto: ``predicate(module_dot_qualname) -> bool``.
-    trace_comprehensions:
-        When False (default), comprehension/generator-expression frames
-        are not recorded individually — each would otherwise surface as
-        one record per element, swamping the profile and the run time;
-        their energy still lands in the enclosing function's record.
-        On Python ≥ 3.12 list, dict and set comprehensions are inlined
-        (PEP 709) and have no frame of their own, so only generator
-        expressions are affected there.
+        Comprehension and generator-expression frames are never recorded
+        on their own (see :class:`~repro.profiler.runtime.CodeFilter`);
+        their energy lands in the enclosing function's record.
     runtime:
         ``"auto"`` (default) uses ``sys.monitoring`` when the
         interpreter provides it (Python ≥ 3.12) and falls back to
@@ -205,7 +200,6 @@ class EnergyTracer:
         include: Sequence[str] = (),
         exclude: Sequence[str] = (),
         predicate: Callable[[str], bool] | None = None,
-        trace_comprehensions: bool = False,
         runtime: str = "auto",
         estimate_overhead: bool = True,
         follow_threads: bool = False,
@@ -217,7 +211,6 @@ class EnergyTracer:
             include=tuple(include),
             exclude=(_PROFILER_DIR, "<frozen", *exclude),
             predicate=predicate,
-            trace_comprehensions=trace_comprehensions,
         )
         self._runtime_classes = resolve_runtime(runtime)
         self._estimate_overhead = estimate_overhead

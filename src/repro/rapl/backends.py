@@ -26,15 +26,12 @@ import time
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Protocol, Sequence
+from typing import Iterator, Protocol, Sequence
 
 from repro.rapl.domains import Domain
 from repro.rapl.model import EnergyModel
 from repro.rapl.msr import MSR_ADDRESSES, MsrFile, RaplCounterReader
 from repro.rapl.units import RaplUnits
-
-if TYPE_CHECKING:
-    from repro.resilience.policy import ResiliencePolicy
 
 _POWERCAP_ROOT = Path("/sys/class/powercap")
 
@@ -497,30 +494,19 @@ class LiveBackend:
         return snapshots
 
 
-def default_backend(
-    prefer_live: bool = True, resilience: "ResiliencePolicy | None" = None
-) -> RaplBackend:
+def default_backend(prefer_live: bool = True) -> RaplBackend:
     """Live backend when powercap is readable, else simulated-on-real-clock.
 
-    Passing a :class:`~repro.resilience.policy.ResiliencePolicy` wraps
-    the chosen backend in a
-    :class:`~repro.resilience.resilient.ResilientBackend` (retry,
-    timeout, circuit breaker, graceful degradation).
+    Retry, timeout, circuit breaker and graceful degradation are
+    ``PEPO(resilience=...)``'s job: it wraps whichever backend this
+    returns in a :class:`~repro.resilience.resilient.ResilientBackend`.
     """
-    backend: RaplBackend
     if prefer_live:
         try:
-            backend = LiveBackend()
+            return LiveBackend()
         except RuntimeError:
-            backend = SimulatedBackend(clock=RealClock())
-    else:
-        backend = SimulatedBackend(clock=RealClock())
-    if resilience is not None:
-        # Imported lazily: repro.resilience depends on this module.
-        from repro.resilience.resilient import ResilientBackend
-
-        backend = ResilientBackend(backend, resilience)
-    return backend
+            pass
+    return SimulatedBackend(clock=RealClock())
 
 
 class EnergyMeter:

@@ -2,9 +2,8 @@
 
 One frozen dataclass carries every tunable of the resilient measurement
 layer so that a policy can be passed through the public surfaces
-(``PEPO(resilience=...)``, ``default_backend(resilience=...)``,
-``pepo profile --resilience``) as a single value and logged alongside
-results for provenance.
+(``PEPO(resilience=...)``, ``pepo profile --resilience``) as a single
+value and logged alongside results for provenance.
 """
 
 from __future__ import annotations

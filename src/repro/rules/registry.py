@@ -227,15 +227,17 @@ def _check_spec(spec: RuleSpec) -> None:
         raise RegistryError(
             f"{spec.rule_id}: overhead_percent must be non-negative"
         )
-    if spec.triggers is not None:
-        if not isinstance(spec.triggers, tuple) or not all(
-            isinstance(t, str) and t for t in spec.triggers
-        ):
+    triggers = getattr(spec.detector, "triggers", None)
+    if triggers is not None:
+        strings = isinstance(triggers, tuple) and all(
+            isinstance(t, str) for t in triggers
+        )
+        if not strings or not all(triggers):
             raise RegistryError(
-                f"{spec.rule_id}: triggers must be None or a tuple of "
-                "non-empty strings"
+                f"{spec.rule_id}: detector {spec.detector.__name__} "
+                "triggers must be None or a tuple of non-empty strings"
             )
-        if not spec.triggers:
+        if not triggers:
             # An empty tuple would mean "never runs anywhere" — that is
             # a disabled rule pretending to be registered.
             raise RegistryError(

@@ -35,7 +35,9 @@ class RuleSpec:
     detector:
         The :class:`~repro.analyzer.rules.base.Rule` subclass that
         finds the pattern.  Required — a rule that cannot detect
-        anything has no reason to exist.
+        anything has no reason to exist.  Its ``triggers`` class
+        attribute is the rule's cold-sweep pre-filter contract, which
+        the registry validates at registration.
     transform:
         Optional :class:`~repro.optimizer.transforms.base.Transform`
         subclass that mechanically fixes the pattern.  Rules without
@@ -56,12 +58,6 @@ class RuleSpec:
     builtin:
         Ships with PEPO; third-party specs leave this ``False`` so the
         Table I views stay exactly the paper's catalog.
-    triggers:
-        Literal substrings at least one of which must appear in a
-        source file for the detector to possibly fire (the analyzer's
-        cold-sweep pre-filter).  Defaults to the detector class's own
-        ``triggers`` declaration; ``None`` disables pre-filtering for
-        the rule.
     """
 
     rule_id: str
@@ -76,15 +72,6 @@ class RuleSpec:
     java_suggestion: str = ""
     extension: bool = False
     builtin: bool = field(default=False)
-    triggers: "tuple[str, ...] | None" = None
-
-    def __post_init__(self) -> None:
-        if self.triggers is None and self.detector is not None:
-            object.__setattr__(
-                self,
-                "triggers",
-                getattr(self.detector, "triggers", None),
-            )
 
     @property
     def has_detector(self) -> bool:

@@ -11,9 +11,9 @@ runs concatenate without any remapping at query time.
 This module requires numpy outright: ``repro.store`` is an analytics
 layer, not a measurement layer, and the profiler that feeds it runs
 without numpy.  ``result.txt`` files are read by the profiler's own
-parser, :func:`repro.profiler.records.parse_result_txt`, called with
-numpy: :meth:`RunColumns.from_result_file` only labels the contexts and
-wraps the parsed columns as arrays.
+parser, :func:`repro.profiler.records.parse_result_txt`:
+:meth:`RunColumns.from_result_file` only labels the contexts and wraps
+the parsed columns as arrays.
 
 Bit-exactness contract (tests/profiler/test_columnar_parity.py):
 :meth:`RunColumns.aggregate` produces *identical* floats to
@@ -165,11 +165,11 @@ class RunColumns:
     @classmethod
     def from_result_txt(cls, path: str | Path) -> "RunColumns":
         """``result.txt`` → columns, no record objects."""
-        return cls.from_result_file(parse_result_txt(path, np=np))
+        return cls.from_result_file(parse_result_txt(path))
 
     @classmethod
     def from_result_file(cls, parsed: "ResultFile") -> "RunColumns":
-        """Columns from a :func:`parse_result_txt` result parsed with numpy.
+        """Columns from a :func:`parse_result_txt` result.
 
         The parse already interned the methods, counted ``call_index``
         and converted the floats; this only maps each context token
@@ -192,10 +192,10 @@ class RunColumns:
                 np.asarray(parsed.context_code, dtype=np.intp)
             ],
             call_index=np.asarray(parsed.call_index, dtype=np.int64),
-            wall=parsed.wall,
-            cpu=parsed.cpu,
-            package=parsed.package,
-            core=parsed.core,
+            wall=np.asarray(parsed.wall, dtype=np.float64),
+            cpu=np.asarray(parsed.cpu, dtype=np.float64),
+            package=np.asarray(parsed.package, dtype=np.float64),
+            core=np.asarray(parsed.core, dtype=np.float64),
             exclusive_package=np.zeros(len(parsed.suspect), dtype=np.float64),
             suspect=np.asarray(parsed.suspect, dtype=bool),
         )

@@ -250,7 +250,7 @@ class RunStore:
     def ingest_result_txt(self, path: str | Path) -> RunInfo:
         """Single-pass ingest of one ``result.txt`` (no record objects)."""
         path = Path(path)
-        parsed = parse_result_txt(path, np=np)
+        parsed = parse_result_txt(path)
         return self._ingest_columns(
             RunColumns.from_result_file(parsed),
             label=path.stem,
@@ -305,6 +305,10 @@ class RunStore:
                     _dt.datetime.now(_dt.timezone.utc)
                     .isoformat(timespec="seconds")
                 )
+                rows = len(run_cols)
+                total_package_joules = float(np.sum(run_cols.package))
+                wall_seconds = float(np.sum(run_cols.wall))
+                suspect_rows = int(np.count_nonzero(run_cols.suspect))
                 cursor = conn.execute(
                     "INSERT INTO runs(label, source, ingested_at, rows,"
                     " segment, total_package_joules, wall_seconds,"
@@ -314,10 +318,10 @@ class RunStore:
                         label,
                         source,
                         ingested_at,
-                        len(run_cols),
-                        float(np.sum(run_cols.package)),
-                        float(np.sum(run_cols.wall)),
-                        int(np.count_nonzero(run_cols.suspect)),
+                        rows,
+                        total_package_joules,
+                        wall_seconds,
+                        suspect_rows,
                         int(degraded),
                     ),
                 )
@@ -333,11 +337,11 @@ class RunStore:
                 label=label,
                 source=source,
                 ingested_at=ingested_at,
-                rows=len(run_cols),
+                rows=rows,
                 segment=segment,
-                total_package_joules=float(np.sum(run_cols.package)),
-                wall_seconds=float(np.sum(run_cols.wall)),
-                suspect_rows=int(np.count_nonzero(run_cols.suspect)),
+                total_package_joules=total_package_joules,
+                wall_seconds=wall_seconds,
+                suspect_rows=suspect_rows,
                 degraded=degraded,
             )
         finally:

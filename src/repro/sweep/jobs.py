@@ -132,7 +132,6 @@ class AnalyzeJob(SweepJob):
     """One analyzer pass per file (``pepo suggest`` on a directory)."""
 
     rule_classes: tuple[type, ...]
-    honor_suppressions: bool = True
     registry_fingerprint: str = ""
     #: Forwarded to :class:`~repro.analyzer.engine.Analyzer`.  Both are
     #: fingerprinted: the pre-filter is designed to be output-invisible
@@ -151,7 +150,6 @@ class AnalyzeJob(SweepJob):
                 SEMANTICS_VERSION,
                 self.registry_fingerprint,
                 tuple(_class_token(cls) for cls in self.rule_classes),
-                self.honor_suppressions,
                 self.prefilter,
                 self.eager_semantics,
             )
@@ -162,7 +160,6 @@ class AnalyzeJob(SweepJob):
 
         return Analyzer(
             rules=self.rule_classes,
-            honor_suppressions=self.honor_suppressions,
             prefilter=self.prefilter,
             eager_semantics=self.eager_semantics,
         )

@@ -36,9 +36,10 @@ files for the same reasons after the same number of strikes:
   the journal and produces output byte-identical to an uninterrupted
   run.
 
-Parallel sweeps dispatch files in **chunks** (``SweepOptions.chunk_size``,
-auto-scaled by default) to amortize submit/pickle/collect overhead on
-cold sweeps; serial sweeps run one file at a time in-process.
+Parallel sweeps dispatch files in **chunks**, sized from the pending-file
+and worker counts (``SweepSupervisor._pick_chunk_size``), to amortize
+submit/pickle/collect overhead on cold sweeps; serial sweeps run one
+file at a time in-process.
 """
 
 from __future__ import annotations
@@ -131,13 +132,11 @@ class SweepOptions:
         ``PEPO_TRACE`` env hook) and ship their records back, and
         serial sweeps trace in-process.  The merged profile lands on
         ``SweepEngine.last_profile``.
-    chunk_size:
-        Files per parallel dispatch.  ``None`` (the default) scales the
-        chunk with the pending-file count and worker count; ``1``
-        restores strict per-file dispatch.  Failure isolation stays per
-        *file* (see :class:`SweepSupervisor`).  Serial sweeps ignore it.
 
-    Retry/restart backoff follows :data:`DEFAULT_SWEEP_POLICY`.
+    Retry/restart backoff follows :data:`DEFAULT_SWEEP_POLICY`.  Chunk
+    size is not a knob: the supervisor derives it from the file and
+    worker counts, and failure isolation stays per *file* whatever the
+    chunk (see :class:`SweepSupervisor`).
     """
 
     timeout_seconds: float | None = None
@@ -145,15 +144,12 @@ class SweepOptions:
     resume: bool = False
     faults: SweepFaultPlan | None = None
     self_profile: bool = False
-    chunk_size: int | None = None
 
     def __post_init__(self) -> None:
         if self.timeout_seconds is not None and self.timeout_seconds <= 0:
             raise ValueError(
                 f"timeout_seconds must be positive: {self.timeout_seconds}"
             )
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1: {self.chunk_size}")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0: {self.max_retries}")
 
@@ -688,16 +684,13 @@ class SweepSupervisor:
         return time.monotonic() + self.options.timeout_seconds * size
 
     def _pick_chunk_size(self, total: int) -> int:
-        """Files per dispatch when ``SweepOptions.chunk_size`` is auto.
+        """Files per parallel dispatch.
 
         About four dispatch waves per worker keeps the pool
         load-balanced near the tail while amortizing per-task
         submit/pickle overhead; the cap bounds how much work one
         crashed or hung chunk forces into one-at-a-time retries.
         """
-        configured = self.options.chunk_size
-        if configured is not None:
-            return configured
         return max(1, min(8, -(-total // (self.workers * 4))))
 
     @staticmethod

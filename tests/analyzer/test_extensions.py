@@ -165,13 +165,9 @@ class TestSuppressions:
         assert len(concat) == 1
         assert concat[0].line == 7
 
-    def test_honor_suppressions_off(self):
-        findings = Analyzer(honor_suppressions=False).analyze_source(DIRTY_LINE)
-        assert any(f.rule_id == "R08_STR_CONCAT" for f in findings)
-
     def test_apply_suppressions_returns_both_sides(self):
-        analyzer = Analyzer(honor_suppressions=False)
-        findings = analyzer.analyze_source(DIRTY_LINE)
+        kept, suppressed = Analyzer().analyze_source_full(DIRTY_LINE)
+        findings = kept + suppressed
         kept, suppressed = apply_suppressions(findings, DIRTY_LINE)
         assert any(f.rule_id == "R08_STR_CONCAT" for f in suppressed)
         assert not any(f.rule_id == "R08_STR_CONCAT" for f in kept)

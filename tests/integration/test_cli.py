@@ -160,6 +160,9 @@ class TestCompare:
         assert "improved" in out
         assert "regression(s):" in out
         assert "m.cold" in out
+        # result.txt holds no exclusive energy, so there is no total.
+        assert "total improvement n/a: a profile has no exclusive" in out
+        assert "+0.0 %" not in out
 
     def test_fail_on_regression(self, tmp_path, capsys):
         before, after = self._write_profiles(tmp_path)

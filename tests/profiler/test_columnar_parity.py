@@ -3,11 +3,11 @@
 The profiler has a single numpy-free implementation of the follow-mode
 replay, ``ProfileResult.aggregate()`` and ``read_result_txt``.  Each is
 checked here against an oracle that does not share its code: a
-hand-rolled reference aggregation, the ``result.txt`` round trip, the
-numpy column conversion the run store uses, and replay values pinned
-from adversarial event buffers.  The run store's vectorized reductions
-must equal the profiler's loops exactly: equal dataclasses,
-repr-identical floats.
+hand-rolled reference aggregation, the ``result.txt`` round trip,
+numpy's own string-to-float64 conversion of the file's columns, and
+replay values pinned from adversarial event buffers.  The run store's
+vectorized reductions must equal the profiler's loops exactly: equal
+dataclasses, repr-identical floats.
 
 The module also runs numpy-free (CI proves it); the store and numpy
 cases then skip.
@@ -23,7 +23,6 @@ from repro.profiler.records import (
     MethodRecord,
     ProfileResult,
     aggregate_records_pure,
-    parse_result_txt,
 )
 from repro.profiler.runtime import (
     OP_CLOSE,
@@ -146,21 +145,24 @@ class TestAggregateParity:
 
 
 def _parse_messages(path):
-    """The reader's error, and the store's numpy parse error if any."""
+    """The reader's error, and the run store's error if numpy is here."""
     messages = []
     with pytest.raises(ValueError) as excinfo:
         ProfileResult.read_result_txt(path)
     messages.append(str(excinfo.value))
     if numpy is not None:
+        from repro.store import RunColumns
+
         with pytest.raises(ValueError) as excinfo:
-            parse_result_txt(path, np=numpy)
+            RunColumns.from_result_txt(path)
         messages.append(str(excinfo.value))
     return messages
 
 
 class TestReadResultTxtParity:
-    """The reader converts floats per value; the store (``np=numpy``)
-    converts a column at once.  Values and errors must be identical."""
+    """The reader builds records and the run store builds float64
+    columns from one parse.  Values and errors must be identical, and
+    the columns must hold the bits numpy's own column conversion gives."""
 
     def _write(self, tmp_path, seed=11):
         path = tmp_path / "result.txt"
@@ -189,9 +191,22 @@ class TestReadResultTxtParity:
         read.write_result_txt(out)
         assert out.read_bytes() == original
         if numpy is not None:
-            parsed = parse_result_txt(path, np=numpy)
-            assert parsed.package.tolist() == [r.package_joules for r in read]
-            assert parsed.wall.tolist() == [r.wall_seconds for r in read]
+            from repro.store import RunColumns
+
+            cols = RunColumns.from_result_txt(path)
+            assert cols.package.tolist() == [r.package_joules for r in read]
+            assert cols.wall.tolist() == [r.wall_seconds for r in read]
+            rows = [
+                line.split("\t")
+                for line in original.decode().splitlines()
+                if line and not line.startswith("#")
+            ]
+            columns = ("wall", "cpu", "package", "core")
+            for index, column in enumerate(columns, 1):
+                direct = numpy.asarray(
+                    [row[index] for row in rows], dtype=numpy.float64
+                )
+                assert getattr(cols, column).tobytes() == direct.tobytes()
 
     @pytest.mark.parametrize("bad", ["nan", "-1.5", "inf", "-inf"])
     @pytest.mark.parametrize(
@@ -228,7 +243,9 @@ class TestReadResultTxtParity:
         (record,) = list(ProfileResult.read_result_txt(path))
         assert record.package_joules == 0.0
         if numpy is not None:
-            assert parse_result_txt(path, np=numpy).package.tolist() == [0.0]
+            from repro.store import RunColumns
+
+            assert RunColumns.from_result_txt(path).package.tolist() == [0.0]
 
 
 # -- concurrent replay parity ------------------------------------------

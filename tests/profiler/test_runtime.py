@@ -208,14 +208,15 @@ class TestCodeFilter:
         assert code_filter.classify(fn.__code__, fn.__globals__) == -1
         assert code_filter.memo[id(fn.__code__)] == -1
 
-    def test_comprehensions_rejected_unless_enabled(self):
+    def test_comprehensions_always_rejected(self):
         genexpr = next(
             c
             for c in (lambda: sum(i for i in range(3))).__code__.co_consts
             if hasattr(c, "co_name") and c.co_name == "<genexpr>"
         )
-        assert CodeFilter().classify(genexpr, {}) == -1
-        assert CodeFilter(trace_comprehensions=True).classify(genexpr, {}) >= 0
+        # Even a predicate that accepts everything cannot admit it.
+        code_filter = CodeFilter(predicate=lambda name: True)
+        assert code_filter.classify(genexpr, {}) == -1
 
     def test_classified_code_objects_are_pinned(self):
         code_filter = CodeFilter()

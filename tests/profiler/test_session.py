@@ -62,16 +62,10 @@ class TestProfileProject:
         )
         monkeypatch.chdir(tmp_path.parent)
         result = make_session().profile_project(
-            Path(tmp_path.name), follow_threads=True, write_result=False
+            Path(tmp_path.name), follow_threads=True
         )
+        assert (tmp_path / "result.txt").is_file()
         assert len(result.executions_of("__main__.work")) == 1
-
-    def test_write_result_can_be_disabled(self, tmp_path):
-        (tmp_path / "app.py").write_text(
-            "def main():\n    pass\nmain()\n"
-        )
-        make_session().profile_project(tmp_path, main="app.py", write_result=False)
-        assert not (tmp_path / "result.txt").exists()
 
 
 class TestProfileCallable:

@@ -1,7 +1,5 @@
 """Tests for the sys.setprofile energy tracer."""
 
-import sys
-
 import pytest
 
 from repro.profiler.tracer import EnergyTracer
@@ -97,24 +95,6 @@ class TestTracing:
         names = tracer.result.methods()
         assert not any("<genexpr>" in n for n in names)
         assert any("hostfn" in n for n in names)
-
-    def test_comprehension_frames_traced_when_enabled(self):
-        tracer = EnergyTracer(
-            make_backend(),
-            predicate=lambda n: "hostfn2" in n,
-            trace_comprehensions=True,
-        )
-
-        def hostfn2():
-            return sum(i for i in range(10)), [i for i in range(10)]
-
-        with tracer:
-            hostfn2()
-        names = tracer.result.methods()
-        assert any("<genexpr>" in n for n in names)
-        # PEP 709 inlines list comprehensions on Python >= 3.12: no frame.
-        if sys.version_info < (3, 12):
-            assert any("<listcomp>" in n for n in names)
 
     def test_include_prefix_filters_by_filename(self, tmp_path):
         # A function compiled from an external "file" is excluded when

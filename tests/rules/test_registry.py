@@ -170,6 +170,38 @@ class TestValidation:
         with pytest.raises(RegistryError, match="non-negative"):
             RuleRegistry([_make_spec(overhead_percent=-1.0)])
 
+    @staticmethod
+    def _detector_with_triggers(value):
+        class TriggeredDetector(Rule):
+            rule_id = "X01_CUSTOM"
+            triggers = value
+
+            def check(self, node, ctx):
+                return iter(())
+
+        return TriggeredDetector
+
+    @pytest.mark.parametrize(
+        "triggers, message",
+        [
+            ((), "empty triggers"),
+            ("for", "tuple of non-empty strings"),
+            (("for", ""), "tuple of non-empty strings"),
+            (["for"], "tuple of non-empty strings"),
+        ],
+    )
+    def test_detector_triggers_validated(self, triggers, message):
+        detector = self._detector_with_triggers(triggers)
+        with pytest.raises(RegistryError, match=message):
+            RuleRegistry().register(_make_spec(detector=detector))
+
+    @pytest.mark.parametrize("triggers", [None, ("for", "while")])
+    def test_valid_detector_triggers_accepted(self, triggers):
+        detector = self._detector_with_triggers(triggers)
+        registry = RuleRegistry()
+        registry.register(_make_spec(detector=detector))
+        assert registry.get("X01_CUSTOM").detector.triggers == triggers
+
 
 # -- runtime registration round trip -----------------------------------
 

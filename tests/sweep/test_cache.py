@@ -88,8 +88,8 @@ class TestCacheMisses:
         assert stats.cache_hits == 1
 
     def test_option_change_is_a_miss(self, project, cache_dir):
-        _sweep(project, cache_dir, Analyzer(honor_suppressions=True))
-        _, stats = _sweep(project, cache_dir, Analyzer(honor_suppressions=False))
+        _sweep(project, cache_dir, Analyzer())
+        _, stats = _sweep(project, cache_dir, Analyzer(prefilter=False))
         assert stats.cache_hits == 0
         assert stats.cache_misses == 2
 

@@ -1,12 +1,13 @@
 """Chunked-dispatch edge cases.
 
 Parallel sweeps ship *chunks* of files per pool task to amortize
-submit/pickle overhead; these tests pin the boundaries of that design:
-degenerate chunk geometry (fewer files per chunk than workers, chunks
-bigger than the corpus), failure isolation (a poison file must cost the
-sweep one file, never its chunk-mates), and the interrupt journal
-staying file-granular so ``--resume`` replays byte-identically even
-when the interrupt lands mid-chunk.
+submit/pickle overhead, sized from the file and worker counts.  These
+tests pin the boundaries of that design: degenerate chunk geometry
+(fewer files per chunk than workers), failure isolation (a poison file
+must cost the sweep one file, never its chunk-mates), and the interrupt
+journal staying file-granular so ``--resume`` replays byte-identically
+even when the interrupt lands mid-chunk.  Each test first checks that
+its corpus and worker count give the chunk size it is about.
 """
 
 import json
@@ -15,7 +16,7 @@ import pytest
 
 from repro.analyzer import Analyzer
 from repro.resilience import SweepFaultPlan
-from repro.sweep import SweepInterrupted, SweepOptions
+from repro.sweep import SweepInterrupted, SweepOptions, SweepSupervisor
 
 DIRTY = (
     "def f(names):\n"
@@ -28,13 +29,23 @@ DIRTY = (
 FAST = dict(timeout_seconds=2.0, max_retries=1)
 
 
-@pytest.fixture()
-def project(tmp_path):
-    for index in range(6):
-        (tmp_path / f"mod_{index}.py").write_text(
+def _write_project(root, files):
+    for index in range(files):
+        (root / f"mod_{index:02d}.py").write_text(
             DIRTY + f"X = {index}\n", encoding="utf-8"
         )
-    return tmp_path
+    return root
+
+
+@pytest.fixture()
+def project(tmp_path):
+    # 24 files at jobs=2: chunks of 3, so every file has chunk-mates.
+    return _write_project(tmp_path, 24)
+
+
+def _chunk_size(files, jobs):
+    """The chunk size a parallel sweep of ``files`` files will use."""
+    return SweepSupervisor(None, workers=jobs)._pick_chunk_size(files)
 
 
 def _as_bytes(findings_by_file) -> bytes:
@@ -53,20 +64,15 @@ def _sweep(project, jobs, **options):
 
 class TestChunkGeometry:
     @pytest.mark.parametrize("chunk_size", [1, 2])
-    def test_chunk_smaller_than_jobs(self, project, chunk_size):
-        # 6 files, 4 workers, tiny chunks: more dispatches than any
-        # worker "needs" — output must still match serial exactly.
+    def test_chunk_smaller_than_jobs(self, tmp_path, chunk_size):
+        # 4 workers, chunks of 1 (6 files) or 2 (22 files): more
+        # dispatches than any worker "needs" — output must still match
+        # serial exactly.
+        files = 16 * chunk_size - 10
+        assert _chunk_size(files, jobs=4) == chunk_size
+        project = _write_project(tmp_path, files)
         serial = Analyzer().analyze_project(project)
-        chunked, quarantine = _sweep(
-            project, jobs=4, chunk_size=chunk_size
-        )
-        assert not quarantine
-        assert _as_bytes(chunked) == _as_bytes(serial)
-
-    def test_chunk_larger_than_corpus(self, project):
-        # One chunk swallows the whole queue; still byte-identical.
-        serial = Analyzer().analyze_project(project)
-        chunked, quarantine = _sweep(project, jobs=2, chunk_size=100)
+        chunked, quarantine = _sweep(project, jobs=4)
         assert not quarantine
         assert _as_bytes(chunked) == _as_bytes(serial)
 
@@ -76,20 +82,20 @@ class TestPoisonInsideChunk:
         # A MemoryError inside analysis is caught in the worker and
         # reported as an inline per-file marker: chunk-mates' finished
         # work must survive, and only the poison file is quarantined.
+        assert _chunk_size(24, jobs=2) == 3
         serial = Analyzer().analyze_project(project)
         poisoned, quarantine = _sweep(
             project,
             jobs=2,
-            chunk_size=3,
-            faults=SweepFaultPlan(memory=("mod_2.py",)),
+            faults=SweepFaultPlan(memory=("mod_02.py",)),
             **FAST,
         )
         assert [e.path for e in quarantine.entries] == [
-            str(project / "mod_2.py")
+            str(project / "mod_02.py")
         ]
-        assert poisoned[str(project / "mod_2.py")] == []
+        assert poisoned[str(project / "mod_02.py")] == []
         healthy = {
-            k: v for k, v in serial.items() if not k.endswith("mod_2.py")
+            k: v for k, v in serial.items() if not k.endswith("mod_02.py")
         }
         assert _as_bytes(
             {k: v for k, v in poisoned.items() if k in healthy}
@@ -99,21 +105,21 @@ class TestPoisonInsideChunk:
         # A crash kills the whole chunk ambiguously; the supervisor
         # must retry the chunk's files one at a time until the real
         # culprit is unmasked — chunk-mates end up with full findings.
+        assert _chunk_size(24, jobs=2) == 3
         serial = Analyzer().analyze_project(project)
         poisoned, quarantine = _sweep(
             project,
             jobs=2,
-            chunk_size=3,
-            faults=SweepFaultPlan(crash=("mod_1.py",)),
+            faults=SweepFaultPlan(crash=("mod_01.py",)),
             **FAST,
         )
         assert [e.path for e in quarantine.entries] == [
-            str(project / "mod_1.py")
+            str(project / "mod_01.py")
         ]
         assert quarantine.entries[0].reason == "crash"
-        assert poisoned[str(project / "mod_1.py")] == []
+        assert poisoned[str(project / "mod_01.py")] == []
         healthy = {
-            k: v for k, v in serial.items() if not k.endswith("mod_1.py")
+            k: v for k, v in serial.items() if not k.endswith("mod_01.py")
         }
         assert _as_bytes(
             {k: v for k, v in poisoned.items() if k in healthy}
@@ -122,9 +128,10 @@ class TestPoisonInsideChunk:
 
 class TestResumeAcrossChunkBoundary:
     def test_resume_mid_chunk_is_byte_identical(self, project):
-        # Interrupt after 3 files with chunk_size=2: the journal cuts
-        # across a chunk boundary (one chunk done, one half-credited).
+        # Interrupt after 4 files with chunks of 3: the journal cuts
+        # across a chunk boundary (one chunk done, one part-credited).
         # The resumed sweep must complete to serial-identical output.
+        assert _chunk_size(24, jobs=2) == 3
         baseline = Analyzer().analyze_project(project)
         analyzer = Analyzer()
         with pytest.raises(SweepInterrupted) as info:
@@ -132,16 +139,15 @@ class TestResumeAcrossChunkBoundary:
                 project,
                 jobs=2,
                 options=SweepOptions(
-                    chunk_size=2,
-                    faults=SweepFaultPlan(interrupt_after_files=3),
+                    faults=SweepFaultPlan(interrupt_after_files=4),
                 ),
             )
-        assert info.value.completed >= 3
-        assert info.value.completed < 6
+        assert info.value.completed >= 4
+        assert info.value.completed < 24
 
         resumed = Analyzer().analyze_project(
             project,
             jobs=2,
-            options=SweepOptions(chunk_size=2, resume=True),
+            options=SweepOptions(resume=True),
         )
         assert _as_bytes(resumed) == _as_bytes(baseline)

@@ -105,7 +105,7 @@ class TestResume:
         """A journal written under one rule set must not be spliced into
         a sweep running a different one."""
         _interrupt(project, 1, after=3)
-        analyzer = Analyzer(honor_suppressions=False)  # different job
+        analyzer = Analyzer(extended=True)  # different rule set
         with pytest.warns(RuntimeWarning, match="different"):
             results = analyzer.analyze_project(
                 project, jobs=1, options=SweepOptions(resume=True)
