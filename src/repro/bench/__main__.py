@@ -87,8 +87,9 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         "beats it by the gated speedup; overhead: exit 1 unless the new "
         "runtime's per-call overhead is within the legacy tracer's (run "
         "from its pinned commit); "
-        "ingest: exit 1 unless the vectorized aggregates are bit-exact "
-        "and clear the speedup target; semantics: exit 1 unless the "
+        "ingest: exit 1 unless a fresh store fold's aggregates equal "
+        "the pure loop's bit for bit and the fold clears the speedup "
+        "target; semantics: exit 1 unless the "
         "flow-fact layer stays within its ms-per-KLoC budget; chaos: "
         "exit 1 unless every fault-tolerance criterion holds (CI smoke "
         "assertions)",

@@ -1,24 +1,23 @@
-"""``pepo bench ingest`` — columnar analytics vs the pure-Python loops.
+"""``pepo bench ingest`` — the run store's fold vs the pure-Python loop.
 
 Measures, on one synthetic profile of ``--records`` method records
 (default 1M; ``--quick`` drops to 150k for CI smoke):
 
-* **aggregate speedup** — ``ProfileResult.aggregate``'s per-record
-  bucket loop (``aggregate_records_pure`` plus its sort) against
-  ``RunColumns.aggregate`` (the ``np.bincount`` reduction) on the same
-  data.  The columns are built once, exactly as the run store's
-  ``.npz`` segments amortise them, so the vector figure is the
-  repeat-aggregation cost store queries actually pay.  The one-off
-  ``RunColumns.from_records`` fold is reported separately and charged
-  to ingest.
+* **aggregate speedup** — :meth:`ProfileResult.aggregate`'s per-record
+  bucket loop against what the first store query after an ingest pays:
+  a fresh :class:`~repro.store.folds.StoreFolds` folding the run's
+  columns (all three running sums and the trend row) plus
+  :meth:`~repro.store.folds.StoreFolds.aggregates`.  The columns are
+  built once, exactly as the run store's ``.npz`` segments amortise
+  them; the one-off ``RunColumns.from_records`` build is reported
+  separately and charged to ingest.
 * **ingest throughput** — rows/second for the full store path: parse a
-  ``result.txt`` of that size straight into columns
-  (``RunColumns.from_result_txt``), intern against the catalog, write
-  the compressed segment.
+  ``result.txt`` of that size straight into columns, intern against the
+  catalog, write the compressed segment.
 
 ``--check`` gates the aggregate speedup at :data:`TARGET_SPEEDUP` and
-verifies the vectorized aggregates equal the pure loop's exactly —
-the bench fails rather than report a fast wrong answer.  Results go to
+verifies the fold's aggregates equal the pure loop's exactly — the
+bench fails rather than report a fast wrong answer.  Results go to
 ``BENCH_ingest.json`` so the perf claim is measured, not asserted.
 """
 
@@ -130,25 +129,26 @@ def _synthetic_records(n: int, seed: int = 20260809) -> list:
 def run_ingest_bench(
     records: int = 1_000_000, quick: bool = False
 ) -> IngestBenchResult:
-    from repro.profiler.records import ProfileResult, aggregate_records_pure
+    from repro.profiler.records import ProfileResult
     from repro.store import RunColumns, RunStore
+    from repro.store.folds import StoreFolds
 
     n = 150_000 if quick else records
     data = _synthetic_records(n)
+    result = ProfileResult()
+    result.extend(data)
 
-    def pure_aggregate():
-        aggregates = aggregate_records_pure(data)
-        aggregates.sort(key=lambda a: a.package_joules, reverse=True)
-        return aggregates
+    def fold():
+        folds = StoreFolds()
+        folds.add(0, cols)
+        return folds.aggregates(cols.methods, cols.contexts, by_context=False)
 
-    pure_s, pure = best_of(1, pure_aggregate)
+    pure_s, pure = best_of(1, result.aggregate)
     build_s, cols = best_of(1, lambda: RunColumns.from_records(data))
-    vector_s, vector = best_of(3, cols.aggregate)
+    vector_s, vector = best_of(3, fold)
 
     parity_ok = vector == pure
 
-    result = ProfileResult()
-    result.extend(data)
     with tempfile.TemporaryDirectory() as tmp:
         txt = Path(tmp) / "result.txt"
         result.write_result_txt(txt)
@@ -177,7 +177,7 @@ def render_ingest_bench(result: IngestBenchResult) -> str:
          "1.00x"),
         ("columns build (one-off)", f"{result.columns_build_s * 1e3:.1f}",
          "—"),
-        ("aggregate (bincount)", f"{result.vector_aggregate_s * 1e3:.1f}",
+        ("fold + aggregates", f"{result.vector_aggregate_s * 1e3:.1f}",
          f"{result.aggregate_speedup:.1f}x"),
         ("store ingest (result.txt)", f"{result.ingest_s * 1e3:.1f}",
          f"{result.ingest_rows_per_s:,.0f} rows/s"),

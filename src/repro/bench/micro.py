@@ -21,12 +21,12 @@ registered at runtime.
 
 from __future__ import annotations
 
+import functools
 import re
+import sys
 from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Callable, Mapping
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,9 @@ def assert_equalish(a: object, b: object) -> None:
         if abs(a - b) > 1e-6 * max(1.0, abs(a), abs(b)):
             raise AssertionError(f"pair results diverge: {a} vs {b}")
         return
-    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+    # Two arrays mean numpy is loaded; nothing else needs it here.
+    np = sys.modules.get("numpy")
+    if np and isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
         np.testing.assert_allclose(a, b, rtol=1e-6)
         return
     if a != b:
@@ -111,6 +113,8 @@ def _pair_r03(n: int = 4000) -> MicroPair:
     """R03: boxed numpy scalars vs plain floats."""
 
     def bad() -> float:
+        import numpy as np
+
         total = np.float64(0.0)
         for i in range(n):
             total = total + np.float64(i) * np.float64(0.5)
@@ -297,19 +301,30 @@ def _pair_r10(size: int = 20000) -> MicroPair:
 
 
 def _pair_r11(side: int = 400) -> MicroPair:
-    """R11: column-major vs row-major traversal."""
-    matrix = np.arange(side * side, dtype=np.float64).reshape(side, side)
+    """R11: column-major vs row-major traversal.
+
+    The matrix is built on first use, so importing the pairs needs no
+    numpy; :meth:`MicroPair.verify` runs both forms before any timing.
+    """
+
+    @functools.cache
+    def matrix():
+        import numpy as np
+
+        return np.arange(side * side, dtype=np.float64).reshape(side, side)
 
     def bad() -> float:
+        m = matrix()
         total = 0.0
-        for j in range(matrix.shape[1]):
-            total += float(matrix[:, j].sum())
+        for j in range(m.shape[1]):
+            total += float(m[:, j].sum())
         return total
 
     def good() -> float:
+        m = matrix()
         total = 0.0
-        for i in range(matrix.shape[0]):
-            total += float(matrix[i, :].sum())
+        for i in range(m.shape[0]):
+            total += float(m[i, :].sum())
         return total
 
     return MicroPair(

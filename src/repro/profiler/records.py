@@ -239,7 +239,35 @@ class ProfileResult:
         runs on several threads/tasks/processes gets one row per
         context (the Fig. 4 view grown for concurrent targets).
         """
-        aggregates = aggregate_records_pure(self._records, by_context)
+        # calls, wall, cpu, package, core, exclusive package, suspects
+        buckets: dict[tuple[str, str], list] = {}
+        for r in self._records:
+            key = (r.method, r.context_label if by_context else "")
+            acc = buckets.get(key)
+            if acc is None:
+                acc = buckets[key] = [0, 0.0, 0.0, 0.0, 0.0, 0.0, 0]
+            acc[0] += 1
+            acc[1] += r.wall_seconds
+            acc[2] += r.cpu_seconds
+            acc[3] += r.package_joules
+            acc[4] += r.core_joules
+            acc[5] += r.exclusive_joules.get(Domain.PACKAGE, 0.0)
+            if r.suspect:
+                acc[6] += 1
+        aggregates = [
+            MethodAggregate(
+                method=method,
+                calls=acc[0],
+                wall_seconds=acc[1],
+                cpu_seconds=acc[2],
+                package_joules=acc[3],
+                core_joules=acc[4],
+                exclusive_package_joules=acc[5],
+                suspect_calls=acc[6],
+                context=context,
+            )
+            for (method, context), acc in buckets.items()
+        ]
         aggregates.sort(key=lambda a: a.package_joules, reverse=True)
         return aggregates
 
@@ -351,45 +379,6 @@ class ProfileResult:
                 )
             )
         return result
-
-
-def aggregate_records_pure(
-    records: Iterable[MethodRecord], by_context: bool = False
-) -> list[MethodAggregate]:
-    """The single-pass bucket loop behind :meth:`ProfileResult.aggregate`.
-
-    Buckets come back unsorted, in first-seen order; the caller sorts.
-    The run store's vectorized aggregate is parity-tested against it.
-    """
-    # calls, wall, cpu, package, core, exclusive package, suspects
-    buckets: dict[tuple[str, str], list] = {}
-    for r in records:
-        key = (r.method, r.context_label if by_context else "")
-        acc = buckets.get(key)
-        if acc is None:
-            acc = buckets[key] = [0, 0.0, 0.0, 0.0, 0.0, 0.0, 0]
-        acc[0] += 1
-        acc[1] += r.wall_seconds
-        acc[2] += r.cpu_seconds
-        acc[3] += r.package_joules
-        acc[4] += r.core_joules
-        acc[5] += r.exclusive_joules.get(Domain.PACKAGE, 0.0)
-        if r.suspect:
-            acc[6] += 1
-    return [
-        MethodAggregate(
-            method=method,
-            calls=acc[0],
-            wall_seconds=acc[1],
-            cpu_seconds=acc[2],
-            package_joules=acc[3],
-            core_joules=acc[4],
-            exclusive_package_joules=acc[5],
-            suspect_calls=acc[6],
-            context=context,
-        )
-        for (method, context), acc in buckets.items()
-    ]
 
 
 @dataclass

@@ -5,17 +5,19 @@
 files, subprocess spool directories — into one queryable columnar
 dataset: an append-only SQLite catalog (provenance + globally interned
 method/context string tables) plus per-run compressed ``.npz`` column
-segments.  Each segment is folded once into running numpy reductions
-(:mod:`repro.store.folds`); top-N hot methods, per-context exclusive
+segments (:mod:`repro.store.columns`).  Each segment is folded once,
+in O(rows), into running numpy reductions (:mod:`repro.store.folds`,
+the store's one reduction); top-N hot methods, per-context exclusive
 totals, fleet trends, Tukey-fence outlier runs, per-rule savings
 estimates and Hoeffding drift flags all read those folds, bit-exactly
-equal to reductions over the concatenated columns.
+equal to :meth:`~repro.profiler.records.ProfileResult.aggregate`'s
+row-order loop over every run's records.
 
 Unlike the profiler, which runs without numpy, this package requires
 numpy: the vectorized reductions are the reason it exists.
 """
 
-from repro.store.columns import RunColumns, concat_columns
+from repro.store.columns import RunColumns
 from repro.store.drift import DriftFlag, MethodDriftDetector, detect_drift
 from repro.store.runstore import (
     ContextTotal,
@@ -40,6 +42,5 @@ __all__ = [
     "RunInfo",
     "RunStore",
     "StoreStats",
-    "concat_columns",
     "detect_drift",
 ]

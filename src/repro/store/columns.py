@@ -1,37 +1,28 @@
-"""Columnar run segments: numpy arrays + interned string tables.
+"""Columnar run segments: the store's on-disk format.
 
 One profiling run becomes one :class:`RunColumns`: a struct-of-arrays
 view of its records, persisted as a compressed ``.npz`` of the numeric
-columns.  String tables (method names, execution-context labels) are
-*not* stored in the segment: the :class:`~repro.store.runstore.
-RunStore` interns them globally in its SQLite catalog and rewrites each
-segment's codes to the global tables at ingest, so segments from many
-runs concatenate without any remapping at query time.
+columns (:data:`SEGMENT_FIELDS`).  String tables (method names,
+execution-context labels) are *not* stored in the segment: the
+:class:`~repro.store.runstore.RunStore` interns them globally in its
+SQLite catalog and rewrites each segment's codes to the global tables
+at ingest, so the folds (:mod:`repro.store.folds`) read every segment's
+codes without remapping at query time.
 
 This module requires numpy outright: ``repro.store`` is an analytics
 layer, not a measurement layer, and the profiler that feeds it runs
 without numpy.  ``result.txt`` files are read by the profiler's own
 parser, :func:`repro.profiler.records.parse_result_txt`:
 :meth:`RunColumns.from_result_file` only labels the contexts and wraps
-the parsed columns as arrays.
-
-Bit-exactness contract (tests/profiler/test_columnar_parity.py):
-:meth:`RunColumns.aggregate` produces *identical* floats to
-:meth:`repro.profiler.records.ProfileResult.aggregate`'s bucket loop,
-not merely close ones.  The accumulation primitives are chosen for
-that property:
-
-* ``np.bincount(codes, weights=w)`` adds weights in input order into
-  each bucket — the same IEEE-754 addition sequence as the Python
-  per-bucket running sums.
-* ``np.sum``/``np.add.reduce`` use pairwise summation and are therefore
-  **banned** for any parity-gated value.
+the parsed columns as arrays.  Float columns carry exactly the values
+the records expose, so the store's reductions
+(:mod:`repro.store.folds`) see the numbers the record loops see.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 try:
     import numpy as np
@@ -41,11 +32,7 @@ except ImportError as exc:  # pragma: no cover - environment-dependent
         "it, but columnar analytics have no pure-Python fallback"
     ) from exc
 
-from repro.profiler.records import (
-    MethodAggregate,
-    context_label,
-    parse_result_txt,
-)
+from repro.profiler.records import context_label
 from repro.rapl.domains import Domain
 
 if TYPE_CHECKING:
@@ -57,17 +44,6 @@ SEGMENT_FIELDS = (
     "method_code",
     "context_code",
     "call_index",
-    "wall",
-    "cpu",
-    "package",
-    "core",
-    "exclusive_package",
-    "suspect",
-)
-
-#: Columns an aggregate bucket sums, in :class:`MethodAggregate` order
-#: (``suspect`` sums as 0.0/1.0 and is reported as a count).
-AGGREGATE_FIELDS = (
     "wall",
     "cpu",
     "package",
@@ -163,11 +139,6 @@ class RunColumns:
         )
 
     @classmethod
-    def from_result_txt(cls, path: str | Path) -> "RunColumns":
-        """``result.txt`` → columns, no record objects."""
-        return cls.from_result_file(parse_result_txt(path))
-
-    @classmethod
     def from_result_file(cls, parsed: "ResultFile") -> "RunColumns":
         """Columns from a :func:`parse_result_txt` result.
 
@@ -254,104 +225,3 @@ class RunColumns:
             exclusive_package=self.exclusive_package,
             suspect=self.suspect,
         )
-
-    # -- vectorized reductions ----------------------------------------
-
-    def aggregate(self, by_context: bool = False) -> "list[MethodAggregate]":
-        """Per-method (or per method × context) totals, energy-descending.
-
-        Same output as :meth:`ProfileResult.aggregate` on the
-        equivalent records — bit-exactly, including tie order
-        (parity-tested against its bucket loop): ``np.bincount``
-        accumulates in input order, and buckets come out in first-seen
-        order before the same stable sort.
-        """
-        n = len(self)
-        if n == 0:
-            return []
-        if by_context:
-            n_contexts = len(self.contexts)
-            codes = self.method_code.astype(np.int64) * n_contexts
-            codes += self.context_code
-            n_buckets = len(self.methods) * n_contexts
-        else:
-            codes = self.method_code.astype(np.int64)
-            n_buckets = len(self.methods)
-        # First-seen bucket order, matching the dict-insertion order of
-        # the record loop (the final sort is stable, so ties keep this
-        # order).  Scatter-assign positions in *reverse*: fancy-index
-        # assignment applies writes in index order, so each bucket keeps
-        # its first occurrence — O(n), no sort (np.unique's sort
-        # dominates at 1M+).
-        first = np.full(n_buckets, -1, dtype=np.int64)
-        first[codes[::-1]] = np.arange(n - 1, -1, -1, dtype=np.int64)
-        present = np.flatnonzero(first >= 0)
-        order = present[np.argsort(first[present])]
-        if by_context:
-            labels = [
-                (self.methods[m], self.contexts[c])
-                for m, c in (
-                    divmod(code, n_contexts) for code in order.tolist()
-                )
-            ]
-        else:
-            labels = [(self.methods[code], "") for code in order.tolist()]
-        return method_aggregates(
-            labels,
-            np.bincount(codes, minlength=n_buckets)[order],
-            {
-                name: np.bincount(
-                    codes, weights=getattr(self, name), minlength=n_buckets
-                )[order]
-                for name in AGGREGATE_FIELDS
-            },
-        )
-
-
-def method_aggregates(
-    labels: list[tuple[str, str]], calls, sums: dict
-) -> "list[MethodAggregate]":
-    """One :class:`MethodAggregate` per bucket, energy-descending.
-
-    ``labels[i]`` is bucket ``i``'s (method, context); ``calls`` and the
-    :data:`AGGREGATE_FIELDS` arrays in ``sums`` are indexed alike.
-    Buckets arrive in first-seen order and the sort is stable, so ties
-    keep that order.
-    """
-    counts = calls.tolist()
-    wall, cpu, package, core, exclusive, suspect = (
-        sums[name].tolist() for name in AGGREGATE_FIELDS
-    )
-    aggregates = [
-        MethodAggregate(
-            method=method,
-            calls=counts[i],
-            wall_seconds=wall[i],
-            cpu_seconds=cpu[i],
-            package_joules=package[i],
-            core_joules=core[i],
-            exclusive_package_joules=exclusive[i],
-            suspect_calls=int(suspect[i]),
-            context=context,
-        )
-        for i, (method, context) in enumerate(labels)
-    ]
-    aggregates.sort(key=lambda a: a.package_joules, reverse=True)
-    return aggregates
-
-
-def concat_columns(segments: Iterable[RunColumns]) -> RunColumns | None:
-    """Concatenate segments that already share global string tables."""
-    segments = [s for s in segments if len(s)]
-    if not segments:
-        return None
-    first = segments[0]
-    if len(segments) == 1:
-        return first
-    arrays = {
-        name: np.concatenate([getattr(s, name) for s in segments])
-        for name in SEGMENT_FIELDS
-    }
-    return RunColumns(
-        methods=first.methods, contexts=first.contexts, **arrays
-    )

@@ -12,22 +12,23 @@ The catalog is the single writer-serialized piece: ``methods`` and
 ``contexts`` intern every string once, store-wide, and each run row
 records provenance (label, source, ingest timestamp) plus cheap
 pre-folded totals for the stats surface.  Segments hold *global* intern
-codes, so any subset of runs concatenates into one flat column set
-without remapping (:meth:`RunStore.load_all`, the row API).
+codes, so every run's codes index the same tables.
 
 Queries never concatenate rows.  Each :class:`RunStore` folds every
-segment once into running reductions (:mod:`repro.store.folds`): per
-method, per (method, context) and per context sums, plus one
-package-by-method row per run for trends, outliers and drift.  A query
-reads the catalog once — the run list and both string tables, in one
-read transaction — and folds only the runs it has not seen.  Each
-folded run is keyed by its whole catalog row (id, segment, rows, ingest
-time and the run's pre-folded totals) and its segment file's ``stat``
-identity; when the catalog's run list extends what was folded, only
-the new runs are read, otherwise (a store deleted and re-ingested under
-the same root, say) the folds are dropped and rebuilt.  The folds hold
-intern codes, and names come from the catalog read by each query.  The running sums continue in row order, so every query's
-floats equal a reduction over the concatenated rows bit for bit.
+segment once into running reductions (:mod:`repro.store.folds`, the
+store's one reduction): per method, per (method, context) and per
+context sums, plus one package-by-method row per run for trends,
+outliers and drift.  A query reads the catalog once — the run list and
+both string tables, in one read transaction — and folds only the runs
+it has not seen.  Each folded run is keyed by its whole catalog row
+(id, segment, rows, ingest time and the run's pre-folded totals) and
+its segment file's ``stat`` identity; when the catalog's run list
+extends what was folded, only the new runs are read, otherwise (a store
+deleted and re-ingested under the same root, say) the folds are dropped
+and rebuilt.  The folds hold intern codes, and names come from the
+catalog read by each query.  The running sums continue in row order,
+so every query's floats equal a row-order loop over the concatenated
+records of every run bit for bit.
 
 Ingest sources: live :class:`ProfileResult` objects, ``result.txt``
 files (single-pass, no record objects), and directories — including
@@ -46,7 +47,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple
 import numpy as np
 
 from repro.profiler.records import parse_result_txt
-from repro.store.columns import RunColumns, concat_columns
+from repro.store.columns import RunColumns
 from repro.store.folds import StoreFolds
 
 if TYPE_CHECKING:
@@ -422,18 +423,6 @@ class RunStore:
         if info is None:
             raise KeyError(f"run {run_id} not in store {self.root}")
         return self._load_segment(info, catalog)
-
-    def load_all(self) -> tuple[RunColumns | None, "np.ndarray"]:
-        """Concatenate every segment; returns (columns, row→run_id map)."""
-        catalog = self._read_catalog()
-        if not catalog.runs:
-            return None, np.zeros(0, dtype=np.int64)
-        segments = [self._load_segment(info, catalog) for info in catalog.runs]
-        run_ids = np.repeat(
-            np.asarray([info.run_id for info in catalog.runs], dtype=np.int64),
-            np.asarray([len(seg) for seg in segments], dtype=np.int64),
-        )
-        return concat_columns(segments), run_ids
 
     def _folded(self) -> tuple[_Catalog, StoreFolds]:
         """The catalog, and folds over every run in it (see module doc).

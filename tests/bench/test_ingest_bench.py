@@ -40,7 +40,7 @@ class TestRunIngestBench:
 
     def test_render(self, result):
         text = render_ingest_bench(result)
-        assert "aggregate (bincount)" in text
+        assert "fold + aggregates" in text
         assert "rows/s" in text
 
     def test_write(self, result, tmp_path):

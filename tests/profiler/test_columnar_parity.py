@@ -6,8 +6,8 @@ checked here against an oracle that does not share its code: a
 hand-rolled reference aggregation, the ``result.txt`` round trip,
 numpy's own string-to-float64 conversion of the file's columns, and
 replay values pinned from adversarial event buffers.  The run store's
-vectorized reductions must equal the profiler's loops exactly: equal
-dataclasses, repr-identical floats.
+folds must equal the reference aggregation exactly: equal dataclasses,
+repr-identical floats.
 
 The module also runs numpy-free (CI proves it); the store and numpy
 cases then skip.
@@ -22,7 +22,7 @@ from repro.profiler.records import (
     MethodAggregate,
     MethodRecord,
     ProfileResult,
-    aggregate_records_pure,
+    parse_result_txt,
 )
 from repro.profiler.runtime import (
     OP_CLOSE,
@@ -151,10 +151,10 @@ def _parse_messages(path):
         ProfileResult.read_result_txt(path)
     messages.append(str(excinfo.value))
     if numpy is not None:
-        from repro.store import RunColumns
+        from repro.store import RunStore
 
         with pytest.raises(ValueError) as excinfo:
-            RunColumns.from_result_txt(path)
+            RunStore(path.parent / "store").ingest_result_txt(path)
         messages.append(str(excinfo.value))
     return messages
 
@@ -193,7 +193,7 @@ class TestReadResultTxtParity:
         if numpy is not None:
             from repro.store import RunColumns
 
-            cols = RunColumns.from_result_txt(path)
+            cols = RunColumns.from_result_file(parse_result_txt(path))
             assert cols.package.tolist() == [r.package_joules for r in read]
             assert cols.wall.tolist() == [r.wall_seconds for r in read]
             rows = [
@@ -245,7 +245,8 @@ class TestReadResultTxtParity:
         if numpy is not None:
             from repro.store import RunColumns
 
-            assert RunColumns.from_result_txt(path).package.tolist() == [0.0]
+            cols = RunColumns.from_result_file(parse_result_txt(path))
+            assert cols.package.tolist() == [0.0]
 
 
 # -- concurrent replay parity ------------------------------------------
@@ -661,32 +662,34 @@ class TestSyntheticReplayParity:
 # -- store reductions (numpy required) ----------------------------------
 
 
+def _assert_store_matches_reference(store, records):
+    """Both top-method modes equal the bucket-then-sum reference."""
+    for by_context in (False, True):
+        _assert_aggregates_identical(
+            store.top_methods(n=10_000, by_context=by_context),
+            _reference_aggregate(records, by_context=by_context),
+        )
+
+
 @requires_numpy
 class TestStoreParity:
     def test_store_aggregate_matches_pure(self, tmp_path):
-        from repro.store import RunColumns
+        from repro.store import RunStore
 
         result = _random_result(21)
-        cols = RunColumns.from_records(list(result))
-        pure = aggregate_records_pure(list(result))
-        pure.sort(key=lambda a: a.package_joules, reverse=True)
-        _assert_aggregates_identical(cols.aggregate(), pure)
+        store = RunStore(tmp_path / "store")
+        store.ingest_result(result)
+        _assert_store_matches_reference(store, list(result))
 
     def test_from_result_txt_matches_read(self, tmp_path):
-        from repro.store import RunColumns
+        from repro.store import RunStore
 
         path = tmp_path / "result.txt"
         _random_result(22).write_result_txt(path)
-        cols = RunColumns.from_result_txt(path)
+        store = RunStore(tmp_path / "store")
+        store.ingest_result_txt(path)
         records = list(ProfileResult.read_result_txt(path))
-        pure = aggregate_records_pure(records)
-        pure.sort(key=lambda a: a.package_joules, reverse=True)
-        _assert_aggregates_identical(cols.aggregate(), pure)
-        by_context = aggregate_records_pure(records, by_context=True)
-        by_context.sort(key=lambda a: a.package_joules, reverse=True)
-        _assert_aggregates_identical(
-            cols.aggregate(by_context=True), by_context
-        )
+        _assert_store_matches_reference(store, records)
 
     def test_cross_run_concat_matches_merged_result(self, tmp_path):
         from repro.store import RunStore
@@ -698,14 +701,10 @@ class TestStoreParity:
         merged = ProfileResult()
         for part in parts:
             merged.merge(part)
-        cols, run_ids = store.load_all()
-        pure = aggregate_records_pure(list(merged))
-        pure.sort(key=lambda a: a.package_joules, reverse=True)
-        _assert_aggregates_identical(cols.aggregate(), pure)
-        assert len(run_ids) == len(cols)
+        _assert_store_matches_reference(store, list(merged))
 
     def test_store_rejects_bad_energy_like_reader(self, tmp_path):
-        from repro.store import RunColumns
+        from repro.store import RunStore
 
         path = tmp_path / "result.txt"
         path.write_text(
@@ -713,7 +712,7 @@ class TestStoreParity:
             "core_joules\nm\t0.1\t0.1\tnan\t0.0\n"
         )
         with pytest.raises(ValueError) as store_err:
-            RunColumns.from_result_txt(path)
+            RunStore(tmp_path / "store").ingest_result_txt(path)
         with pytest.raises(ValueError) as reader_err:
             ProfileResult.read_result_txt(path)
         assert str(store_err.value) == str(reader_err.value)

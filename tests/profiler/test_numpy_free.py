@@ -1,10 +1,13 @@
-"""The profiler never imports numpy, even where numpy is installed.
+"""The profiler and the analyzer never import numpy, even where it is
+installed.
 
 The profiler, the sweep workers and the subprocess bootstrap run on
 bare interpreters, so the measurement path has one pure-Python
-implementation.  A fresh interpreter traces a threaded callable in
-follow mode, aggregates, writes and reads ``result.txt``, and must
-finish without numpy in ``sys.modules``.
+implementation.  Each case runs in a fresh interpreter and must finish
+without numpy in ``sys.modules``: one traces a threaded callable in
+follow mode, aggregates, writes and reads ``result.txt``; the other
+analyzes a Table I snippet and runs ``python -m repro compare`` on two
+``result.txt`` files.
 """
 
 import os
@@ -55,16 +58,76 @@ SCRIPT = textwrap.dedent(
 )
 
 
-def test_follow_mode_profile_round_trip_imports_no_numpy():
+ANALYZE_AND_COMPARE = textwrap.dedent(
+    """
+    import runpy
+    import sys
+    import tempfile
+    from pathlib import Path
+
+    from repro.analyzer import Analyzer
+    from repro.profiler.records import MethodRecord, ProfileResult
+    from repro.rapl.domains import Domain
+
+    SNIPPET = (
+        "def join(n):\\n"
+        "    s = ''\\n"
+        "    for i in range(n):\\n"
+        "        s += str(i)\\n"
+        "    return s\\n"
+    )
+    rule_ids = {f.rule_id for f in Analyzer().analyze_source(SNIPPET)}
+    assert "R08_STR_CONCAT" in rule_ids, rule_ids
+
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, joules in enumerate((2.0, 1.0)):
+            result = ProfileResult()
+            result.add(
+                MethodRecord(
+                    method="app.join",
+                    filename="app.py",
+                    lineno=1,
+                    call_index=0,
+                    wall_seconds=0.1,
+                    cpu_seconds=0.1,
+                    joules={Domain.PACKAGE: joules},
+                    exclusive_joules={},
+                )
+            )
+            paths.append(str(result.write_result_txt(Path(tmp) / f"{i}.txt")))
+        sys.argv = ["pepo", "compare", *paths]
+        try:
+            runpy.run_module("repro", run_name="__main__", alter_sys=True)
+        except SystemExit as exit:
+            assert not exit.code, exit.code
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
+    print(loaded[:3])
+    sys.exit(1 if "numpy" in sys.modules else 0)
+    """
+)
+
+
+def _run_fresh(script: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH", "")) if p
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT],
+    return subprocess.run(
+        [sys.executable, "-c", script],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def test_follow_mode_profile_round_trip_imports_no_numpy():
+    proc = _run_fresh(SCRIPT)
     assert proc.returncode == 0, (proc.stdout, proc.stderr)
+
+
+def test_analyzer_and_compare_import_no_numpy():
+    proc = _run_fresh(ANALYZE_AND_COMPARE)
+    assert proc.returncode == 0, (proc.stdout, proc.stderr)
+    assert "app.join" in proc.stdout

@@ -10,10 +10,11 @@ from repro.analyzer.findings import Finding
 from repro.profiler.records import (
     MethodRecord,
     ProfileResult,
-    aggregate_records_pure,
+    parse_result_txt,
 )
 from repro.rapl.domains import Domain
-from repro.store import RunColumns, RunStore, concat_columns
+from repro.store import RunColumns, RunStore
+from repro.store.columns import SEGMENT_FIELDS
 
 
 def _result(seed: int, n: int = 120, module: str = "pkg.mod0") -> ProfileResult:
@@ -56,10 +57,10 @@ class TestIngest:
         assert info.rows == len(list(result))
         assert info.segment == "run-000001.npz"
         assert (store.segments_dir / info.segment).is_file()
-        loaded = store.load_run(1)
-        pure = aggregate_records_pure(list(result))
-        pure.sort(key=lambda a: a.package_joules, reverse=True)
-        assert loaded.aggregate() == pure
+        _assert_same_columns(
+            store.load_run(1), RunColumns.from_records(list(result))
+        )
+        assert store.top_methods(n=100) == result.aggregate()
 
     def test_result_txt_single_pass(self, store, tmp_path):
         path = tmp_path / "result.txt"
@@ -67,8 +68,10 @@ class TestIngest:
         info = store.ingest_result_txt(path)
         assert info.label == "result"
         assert info.source == str(path)
-        direct = RunColumns.from_result_txt(path)
-        assert store.load_run(info.run_id).aggregate() == direct.aggregate()
+        direct = RunColumns.from_result_file(parse_result_txt(path))
+        _assert_same_columns(store.load_run(info.run_id), direct)
+        read = ProfileResult.read_result_txt(path)
+        assert store.top_methods(n=100) == read.aggregate()
 
     def test_ingest_directory_walks_spools(self, store, tmp_path):
         spool = tmp_path / "spool"
@@ -152,18 +155,16 @@ class TestQueries:
         energies = [a.package_joules for a in top]
         assert energies == sorted(energies, reverse=True)
 
-    def test_load_all_matches_merged_pure(self, store):
-        results = [_result(20 + s) for s in range(3)]
-        for i, r in enumerate(results):
-            store.ingest_result(r, label=f"r{i}")
-        merged: list = []
-        for r in results:
-            merged.extend(list(r))
-        cols, run_ids = store.load_all()
-        pure = aggregate_records_pure(merged)
-        pure.sort(key=lambda a: a.package_joules, reverse=True)
-        assert cols.aggregate() == pure
-        assert run_ids.tolist() == sorted(run_ids.tolist())
+    def test_top_methods_match_merged_records(self, store):
+        merged = ProfileResult()
+        for i in range(3):
+            result = _result(20 + i)
+            store.ingest_result(result, label=f"r{i}")
+            merged.extend(list(result))
+        for by_context in (False, True):
+            assert store.top_methods(
+                n=100, by_context=by_context
+            ) == merged.aggregate(by_context=by_context)
 
     def test_context_totals(self, store):
         self._fill(store, 2)
@@ -258,17 +259,17 @@ class TestRuleSavings:
 
 
 class TestColumns:
-    def test_concat_preserves_order(self):
-        a = RunColumns.from_records(list(_result(50, n=30)))
-        b = RunColumns.from_records(list(_result(51, n=20)))
-        both = concat_columns([a, b])
-        assert len(both) == 50
-        assert both.package[:30].tolist() == a.package.tolist()
-
     def test_npz_round_trip(self, tmp_path):
         cols = RunColumns.from_records(list(_result(52)))
         path = tmp_path / "seg.npz"
         cols.save_npz(path)
         loaded = RunColumns.load_npz(path, cols.methods, cols.contexts)
-        assert loaded.aggregate() == cols.aggregate()
-        assert loaded.package.tolist() == cols.package.tolist()
+        _assert_same_columns(loaded, cols)
+
+
+def _assert_same_columns(left: RunColumns, right: RunColumns) -> None:
+    """Same string tables and byte-identical segment columns."""
+    assert (left.methods, left.contexts) == (right.methods, right.contexts)
+    for name in SEGMENT_FIELDS:
+        a, b = getattr(left, name), getattr(right, name)
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
