@@ -12,19 +12,28 @@ protocol and reports
 
 next to the paper's number and the suggestion text.  ``measure=False``
 is the dry-run mode: rows come back with NaN measurements (rendered as
-"—") after each pair is verified, which is what CI smoke-checks.
+"—") after each pair is verified, which is what CI smoke-checks.  The
+dry run needs no numpy: only the measuring run loads the outlier-free
+protocol (:mod:`repro.stats`, which is numpy-backed), and on an
+interpreter without numpy the two pairs whose forms use it (R03's boxed
+scalars, R11's matrix) are named on stderr as unverified while the
+table prints unchanged.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.bench.micro import MicroPair
 from repro.rapl.backends import RaplBackend, RealClock, SimulatedBackend
 from repro.rapl.perf import PerfStat
-from repro.stats.protocol import OutlierFreeProtocol
 from repro.views.tables import render_table
+
+if TYPE_CHECKING:
+    from repro.stats.protocol import OutlierFreeProtocol
 
 
 @dataclass(frozen=True)
@@ -48,6 +57,19 @@ def _measure_pair(
     return bad.mean, good.mean
 
 
+def _verify_pair(pair: MicroPair) -> None:
+    """Run both forms of ``pair``; a missing numpy skips it with a note."""
+    try:
+        pair.verify()
+    except ModuleNotFoundError as error:
+        if error.name != "numpy":
+            raise
+        print(
+            f"table1: {pair.rule_id} not verified: its forms need numpy",
+            file=sys.stderr,
+        )
+
+
 def run_table1(
     backend: RaplBackend | None = None,
     repeats: int = 5,
@@ -57,12 +79,17 @@ def run_table1(
 
     ``measure=False`` still verifies each pair's two forms agree but
     skips the energy harness, leaving NaN in the measured columns — a
-    fast structural smoke-check for CI.
+    fast structural smoke-check for CI.  Without numpy it skips the
+    pairs that need it, with a note on stderr.
     """
     from repro.rules import REGISTRY
 
-    perf = PerfStat(backend or SimulatedBackend(clock=RealClock()))
-    protocol = OutlierFreeProtocol(repeats=repeats)
+    if measure:
+        from repro.stats.protocol import OutlierFreeProtocol
+
+        perf = PerfStat(backend or SimulatedBackend(clock=RealClock()))
+        protocol = OutlierFreeProtocol(repeats=repeats)
+    verify = _verify_pair
     rows: list[Table1Row] = []
     for spec in REGISTRY:
         if spec.micro is None or spec.extension:
@@ -75,7 +102,7 @@ def run_table1(
                 else 0.0
             )
         else:
-            spec.micro.verify()
+            verify(spec.micro)
             bad_joules = good_joules = overhead = math.nan
         rows.append(
             Table1Row(

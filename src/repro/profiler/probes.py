@@ -11,13 +11,19 @@ through the tracer's :class:`~repro.profiler.runtime._RecordBuilder` —
 so call numbering, exclusive-energy attribution and suspect flags are
 the tracer's own.  Records are built eagerly: ``result`` is complete
 after every call.
+
+Each probed call pays two backend readings, and whatever else runs
+between them lands inside the measured interval.  The ``with`` block is
+therefore a plain :class:`_Probe` object (``__slots__``, an
+``__enter__`` that calls ``open`` and an ``__exit__`` that calls
+``close``) rather than a generator-based context manager, and the
+simulated backend's ``snapshot()`` is one pass over its five counters
+(see :mod:`repro.rapl.backends`).
 """
 
 from __future__ import annotations
 
-import contextlib
 import threading
-from typing import Iterator
 
 from repro.profiler.records import ProfileResult
 from repro.profiler.runtime import _ZERO_SNAPSHOT, _RecordBuilder
@@ -89,12 +95,31 @@ class ProbeRuntime:
         if getattr(self.backend, "degraded", False):
             self.result.degraded = True
 
-    @contextlib.contextmanager
     def __call__(
         self, method: str, filename: str = "", lineno: int = 0
-    ) -> Iterator[None]:
-        entry = self.open(method, filename, lineno)
-        try:
-            yield
-        finally:
-            self.close(entry)
+    ) -> _Probe:
+        return _Probe(self, method, filename, lineno)
+
+
+class _Probe:
+    """One probed call's ``with`` block: :meth:`ProbeRuntime.open` on
+    entry, :meth:`ProbeRuntime.close` on exit.  An exception raised in
+    the block closes the call and then propagates."""
+
+    __slots__ = ("_runtime", "_method", "_filename", "_lineno", "_entry")
+
+    def __init__(
+        self, runtime: ProbeRuntime, method: str, filename: str, lineno: int
+    ) -> None:
+        self._runtime = runtime
+        self._method = method
+        self._filename = filename
+        self._lineno = lineno
+
+    def __enter__(self) -> None:
+        self._entry = self._runtime.open(
+            self._method, self._filename, self._lineno
+        )
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        self._runtime.close(self._entry)

@@ -14,6 +14,17 @@ Two backends share one interface (:class:`RaplBackend`):
 :func:`default_backend` picks the live backend when powercap is
 readable and falls back to the simulated one on a real clock, so the
 same profiling code runs everywhere.
+
+A profiler reads the backend at the start and end of every measured
+call, so a reading's own cost lands inside the interval it measures.
+The simulated backend therefore reads in one pass: a sync computes all
+five domains' deposits from constants taken at construction and makes
+one :meth:`~repro.rapl.msr.MsrFile.deposit_units` call; ``snapshot()``
+feeds all five counters to one
+:class:`~repro.rapl.msr.CounterAccumulator`; ``snapshot_raw()`` is the
+clock pair plus :meth:`~repro.rapl.msr.MsrFile.read_all`.  The float
+operations are the energy model's, in its order, so every reading is
+bit-identical to depositing and accumulating one domain at a time.
 """
 
 from __future__ import annotations
@@ -30,7 +41,7 @@ from typing import Iterator, Protocol, Sequence
 
 from repro.rapl.domains import Domain
 from repro.rapl.model import EnergyModel
-from repro.rapl.msr import MSR_ADDRESSES, MsrFile, RaplCounterReader
+from repro.rapl.msr import DOMAIN_ORDER, CounterAccumulator, MsrFile, check_raw
 from repro.rapl.units import RaplUnits
 
 _POWERCAP_ROOT = Path("/sys/class/powercap")
@@ -200,6 +211,13 @@ class SimulatedBackend:
         paper's Tukey protocol removes.
     seed:
         Seed for the noise/outlier RNG.
+
+    The model's per-domain watts and the units' exponent are read once,
+    at construction: each sync computes every domain's deposit from
+    those constants and hands all five to the register file in one
+    :meth:`~repro.rapl.msr.MsrFile.deposit_units` call, so replacing
+    ``model`` or ``units`` on a live backend does not change its
+    counters.
     """
 
     def __init__(
@@ -231,13 +249,17 @@ class SimulatedBackend:
         # Snapshots may arrive from a sampler thread (see
         # repro.rapl.timeline); counter updates must be atomic.
         self._lock = threading.Lock()
+        power = self.model.domain_power
+        #: ``(static_watts, dynamic_watts)`` per domain, in DOMAIN_ORDER.
+        self._watts = tuple(
+            (power[dom].static_watts, power[dom].dynamic_watts)
+            for dom in DOMAIN_ORDER
+        )
+        self._units_per_joule = 1 << self.units.energy_exp
         self._last_wall, self._last_cpu = self.clock.now()
-        self._readers = {
-            dom: RaplCounterReader(units=self.units) for dom in Domain
-        }
-        # Establish reader baselines so the first snapshot reads zero.
-        for dom in Domain:
-            self._readers[dom].update(self.msr.read_domain(dom))
+        # Establish the baseline so the first snapshot reads zero.
+        self._counters = CounterAccumulator(self.units, DOMAIN_ORDER)
+        self._counters.update(self.msr.read_all())
 
     def _require_rng(self):
         """Noise/outlier RNG, created on first use.
@@ -286,6 +308,14 @@ class SimulatedBackend:
             self._sync_locked()
 
     def _sync_locked(self) -> None:
+        """Deposit the energy of the time since the last sync.
+
+        The float operations per domain are the model's
+        (:meth:`EnergyModel.energy_joules`), then ``* scale`` and
+        ``* (1 << energy_exp)`` into the register's residual; the
+        clamped intervals and ``scale >= 0`` keep every amount
+        non-negative, so nothing is re-validated here.
+        """
         wall, cpu = self.clock.now()
         dwall = wall - self._last_wall
         dcpu = cpu - self._last_cpu
@@ -301,9 +331,12 @@ class SimulatedBackend:
             )
         if self.outlier_rate and self._require_rng().random() < self.outlier_rate:
             scale *= self.outlier_scale
-        for dom in Domain:
-            joules = self.model.energy_joules(dom, dwall, dcpu, self._intensity)
-            self.msr.deposit_joules(dom, joules * scale)
+        intensity = self._intensity
+        units_per_joule = self._units_per_joule
+        self.msr.deposit_units([
+            (static * dwall + dynamic * intensity * dcpu) * scale * units_per_joule
+            for static, dynamic in self._watts
+        ])
 
     # -- RaplBackend interface ------------------------------------------
 
@@ -319,12 +352,8 @@ class SimulatedBackend:
     def snapshot(self) -> EnergySnapshot:
         with self._lock:
             self._sync_locked()
-            joules = {
-                dom: self._readers[dom].update(self.msr.read_domain(dom))
-                for dom in Domain
-            }
             return EnergySnapshot(
-                joules=joules,
+                joules=self._counters.update(self.msr.read_all()),
                 wall_seconds=self._last_wall,
                 cpu_seconds=self._last_cpu,
             )
@@ -332,7 +361,7 @@ class SimulatedBackend:
     # -- deferred-conversion fast path ---------------------------------
 
     #: Domain order of the counters in a raw reading tuple.
-    raw_domains: tuple[Domain, ...] = tuple(Domain)
+    raw_domains: tuple[Domain, ...] = DOMAIN_ORDER
 
     def snapshot_raw(self) -> RawReading:
         """One flat ``(wall, cpu, counter...)`` tuple, no unit conversion.
@@ -344,16 +373,7 @@ class SimulatedBackend:
         """
         with self._lock:
             self._sync_locked()
-            read = self.msr.read_domain
-            return (
-                self._last_wall,
-                self._last_cpu,
-                read(Domain.PACKAGE),
-                read(Domain.PP0),
-                read(Domain.PP1),
-                read(Domain.DRAM),
-                read(Domain.PSYS),
-            )
+            return (self._last_wall, self._last_cpu, *self.msr.read_all())
 
     def materialize_raw(
         self, readings: Sequence[RawReading]
@@ -366,18 +386,15 @@ class SimulatedBackend:
         deltas between the returned snapshots are meaningful, which is
         all the profiler computes.
         """
-        readers = {
-            dom: RaplCounterReader(units=self.units) for dom in self.raw_domains
-        }
+        update = CounterAccumulator(self.units, self.raw_domains).update
+        check = check_raw
         snapshots = []
         for reading in readings:
-            joules = {
-                dom: readers[dom].update(raw)
-                for dom, raw in zip(self.raw_domains, reading[2:])
-            }
+            counters = reading[2:]
+            check(counters)
             snapshots.append(
                 EnergySnapshot(
-                    joules=joules,
+                    joules=update(counters),
                     wall_seconds=reading[0],
                     cpu_seconds=reading[1],
                 )

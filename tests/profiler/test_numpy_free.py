@@ -7,7 +7,9 @@ implementation.  Each case runs in a fresh interpreter and must finish
 without numpy in ``sys.modules``: one traces a threaded callable in
 follow mode, aggregates, writes and reads ``result.txt``; the other
 analyzes a Table I snippet and runs ``python -m repro compare`` on two
-``result.txt`` files.
+``result.txt`` files.  The Table I dry run is checked on an interpreter
+where numpy cannot be imported at all, against its own output where it
+can.
 """
 
 import os
@@ -15,6 +17,8 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 import repro
 
@@ -108,13 +112,39 @@ ANALYZE_AND_COMPARE = textwrap.dedent(
 )
 
 
-def _run_fresh(script: str) -> subprocess.CompletedProcess:
+TABLE1_DRY_RUN = textwrap.dedent(
+    """
+    import runpy
+    import sys
+
+    if sys.argv[1:] == ["--block-numpy"]:
+
+        class NoNumpy:
+            def find_spec(self, name, path=None, target=None):
+                if name.partition(".")[0] == "numpy":
+                    raise ModuleNotFoundError(
+                        f"No module named {name!r}", name=name
+                    )
+
+        sys.meta_path.insert(0, NoNumpy())
+    sys.argv = ["repro.bench", "table1", "--dry-run"]
+    try:
+        runpy.run_module("repro.bench", run_name="__main__", alter_sys=True)
+    except SystemExit as exit:
+        assert not exit.code, exit.code
+    if sys.argv[1:] == ["--block-numpy"]:
+        sys.exit(1 if "numpy" in sys.modules else 0)
+    """
+)
+
+
+def _run_fresh(script: str, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH", "")) if p
     )
     return subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-c", script, *args],
         env=env,
         capture_output=True,
         text=True,
@@ -131,3 +161,21 @@ def test_analyzer_and_compare_import_no_numpy():
     proc = _run_fresh(ANALYZE_AND_COMPARE)
     assert proc.returncode == 0, (proc.stdout, proc.stderr)
     assert "app.join" in proc.stdout
+
+
+def test_table1_dry_run_needs_no_numpy():
+    blocked = _run_fresh(TABLE1_DRY_RUN, "--block-numpy")
+    assert blocked.returncode == 0, (blocked.stdout, blocked.stderr)
+    assert "Table I" in blocked.stdout
+    # The pairs whose forms use numpy are named, not silently passed.
+    for rule_id in ("R03_BOXING", "R11_TRAVERSAL"):
+        assert f"{rule_id} not verified" in blocked.stderr
+
+
+def test_table1_dry_run_prints_the_same_table_without_numpy():
+    pytest.importorskip("numpy")  # the run it is compared against
+    full = _run_fresh(TABLE1_DRY_RUN)
+    assert full.returncode == 0, (full.stdout, full.stderr)
+    assert "not verified" not in full.stderr
+    blocked = _run_fresh(TABLE1_DRY_RUN, "--block-numpy")
+    assert blocked.stdout == full.stdout

@@ -289,6 +289,25 @@ class TestProbeThreads:
         assert [r.method for r in probe.result] == ["gen"]
 
 
+class TestProbeContext:
+    def test_raising_call_records_and_reraises(self):
+        clock = VirtualClock()
+        probe = ProbeRuntime(SimulatedBackend(clock=clock))
+        with pytest.raises(KeyError, match="boom"):
+            with probe("m.fails", "m.py", 3):
+                clock.advance(0.5, 0.25)
+                raise KeyError("boom")
+        (record,) = probe.result
+        assert (record.method, record.filename, record.lineno) == (
+            "m.fails", "m.py", 3
+        )
+        assert not record.suspect
+        assert (record.wall_seconds, record.cpu_seconds) == (0.5, 0.25)
+        # 3 W static * 0.5 s + 12 W dynamic * 0.25 s
+        assert record.package_joules == pytest.approx(4.5, rel=1e-3)
+        assert not probe._calls.stack
+
+
 class _NullProbe:
     """Probe stub recording nothing — for pure-transform tests."""
 

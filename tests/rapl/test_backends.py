@@ -1,5 +1,7 @@
 """Tests for simulated/live backends, the meter, and the perf harness."""
 
+import random
+
 import pytest
 
 from repro.rapl.backends import (
@@ -11,8 +13,10 @@ from repro.rapl.backends import (
     default_backend,
 )
 from repro.rapl.domains import Domain
-from repro.rapl.msr import MSR_PKG_ENERGY_STATUS
+from repro.rapl.model import EnergyModel
+from repro.rapl.msr import MSR_PKG_ENERGY_STATUS, MsrFile, RaplCounterReader
 from repro.rapl.perf import METRICS, EnergySample, PerfStat
+from repro.rapl.units import RaplUnits
 
 
 def make_backend(**kwargs) -> SimulatedBackend:
@@ -99,6 +103,7 @@ class TestSimulatedBackend:
         assert raw == backend.units.joules_to_raw(15.0)
 
     def test_noise_is_deterministic_given_seed(self):
+        pytest.importorskip("numpy")  # the RNG
         def run(seed):
             backend = make_backend(noise_sigma=0.05, seed=seed)
             backend.clock.advance(1.0, 1.0)
@@ -108,6 +113,7 @@ class TestSimulatedBackend:
         assert run(7) != run(8)
 
     def test_outlier_injection_produces_occasional_spikes(self):
+        pytest.importorskip("numpy")  # the RNG
         backend = make_backend(outlier_rate=0.3, outlier_scale=10.0, seed=1)
         values = []
         for _ in range(30):
@@ -301,6 +307,7 @@ class TestRawSnapshotPath:
         assert second.delta(first).joules[Domain.PACKAGE] == pytest.approx(2.5)
 
     def test_resilient_backend_has_no_raw_path(self):
+        pytest.importorskip("numpy")  # ResilientBackend's jitter RNG
         # ResilientBackend must keep using full snapshots so retries
         # and degradation provenance stay on the measurement path.
         from repro.resilience.policy import ResiliencePolicy
@@ -308,3 +315,182 @@ class TestRawSnapshotPath:
 
         wrapped = ResilientBackend(make_backend(), ResiliencePolicy())
         assert not hasattr(wrapped, "snapshot_raw")
+
+
+class _ReferenceBackend:
+    """The simulated backend rebuilt from its public pieces, one domain
+    at a time: ``EnergyModel.energy_joules`` -> ``MsrFile.deposit_joules``
+    -> one ``RaplCounterReader`` per domain."""
+
+    def __init__(self, clock, noise_sigma=0.0, outlier_rate=0.0,
+                 outlier_scale=5.0, seed=0):
+        self.clock = clock
+        self.model = EnergyModel()
+        self.units = RaplUnits.default()
+        self.msr = MsrFile(units=self.units)
+        self.noise_sigma = noise_sigma
+        self.outlier_rate = outlier_rate
+        self.outlier_scale = outlier_scale
+        self.rng = None
+        if noise_sigma or outlier_rate:
+            np = pytest.importorskip("numpy")
+            self.rng = np.random.default_rng(seed)
+        self.intensity = 1.0
+        self.wall, self.cpu = clock.now()
+        self.readers = {dom: RaplCounterReader(units=self.units) for dom in Domain}
+        for dom in Domain:
+            self.readers[dom].update(self.msr.read_domain(dom))
+
+    def sync(self):
+        wall, cpu = self.clock.now()
+        dwall, dcpu = wall - self.wall, cpu - self.cpu
+        self.wall, self.cpu = wall, cpu
+        if dwall <= 0 and dcpu <= 0:
+            return
+        dwall, dcpu = max(dwall, 0.0), max(dcpu, 0.0)
+        scale = 1.0
+        if self.noise_sigma:
+            scale *= max(0.0, 1.0 + self.rng.normal(0.0, self.noise_sigma))
+        if self.outlier_rate and self.rng.random() < self.outlier_rate:
+            scale *= self.outlier_scale
+        for dom in Domain:
+            joules = self.model.energy_joules(dom, dwall, dcpu, self.intensity)
+            self.msr.deposit_joules(dom, joules * scale)
+
+    def snapshot_raw(self):
+        self.sync()
+        return (self.wall, self.cpu, *(self.msr.read_domain(d) for d in Domain))
+
+    def snapshot(self):
+        reading = self.snapshot_raw()
+        joules = {
+            dom: self.readers[dom].update(raw)
+            for dom, raw in zip(Domain, reading[2:])
+        }
+        return joules, reading[0], reading[1]
+
+
+def _schedule(seed, steps=150):
+    """Irregular clock steps (zero-length ones included), reads, explicit
+    deposits and one intensity scope; enough virtual time that every
+    32-bit counter wraps."""
+    rng = random.Random(seed)
+    ops = []
+    for step in range(steps):
+        # Steps below one energy unit (~61 uJ) leave their energy in
+        # the residual for a later read to see.
+        wall = rng.choice([0.0, 0.0, 1e-9, 4e-6, 1.1e-5, 3.1e-4, 0.37, 2.5, 3000.0])
+        cpu = rng.choice([0.0, wall, wall * 0.3, 1e-6, 7.25])
+        ops.append(("advance", wall, cpu))
+        if step == 40:
+            ops.append(("enter", 2.75))
+        elif step == 90:
+            ops.append(("exit",))
+        if rng.random() < 0.2:
+            ops.append(("post", rng.choice(list(Domain)), rng.choice([0.0, 1e-5, 0.25, 17.0])))
+        if rng.random() < 0.8:
+            ops.append(("read",))
+    # 150 busy kiloseconds: even PP1 (2 W busy) passes 2**32 units of
+    # 2**-14 J, while no read interval spans a whole period.
+    for _ in range(30):
+        ops += [("advance", 5000.0, 5000.0), ("read",)]
+    return ops
+
+
+def _drive(ops, backend, read):
+    """Run ``ops`` against ``backend`` (real or reference); return what
+    ``read(backend)`` gave at each read."""
+    readings, scopes = [], []
+    for op, *args in ops:
+        if op == "advance":
+            backend.clock.advance(*args)
+        elif op == "post":
+            if isinstance(backend, _ReferenceBackend):
+                backend.msr.deposit_joules(*args)
+            else:
+                backend.post_joules(*args)
+        elif op == "enter":
+            if isinstance(backend, _ReferenceBackend):
+                backend.sync()
+                scopes.append(backend.intensity)
+                backend.intensity = args[0]
+            else:
+                scope = backend.intensity_scope(args[0])
+                scope.__enter__()
+                scopes.append(scope)
+        elif op == "exit":
+            scope = scopes.pop()
+            if isinstance(backend, _ReferenceBackend):
+                backend.sync()
+                backend.intensity = scope
+            else:
+                scope.__exit__(None, None, None)
+        else:
+            readings.append(read(backend))
+    return readings
+
+
+def _snapshot_fields(backend):
+    snap = backend.snapshot()
+    return snap.joules, snap.wall_seconds, snap.cpu_seconds
+
+
+_NOISY = {"noise_sigma": 0.05, "outlier_rate": 0.2, "seed": 11}
+
+
+class TestKernelOracle:
+    """snapshot() and snapshot_raw() -> materialize_raw() equal, float for
+    float, the per-domain reference on an irregular schedule."""
+
+    @pytest.mark.parametrize(
+        "kwargs", [{}, _NOISY], ids=["noise-free", "noise+outliers"]
+    )
+    def test_snapshot_matches_reference(self, kwargs):
+        ops = _schedule(seed=5)
+        reference = _ReferenceBackend(VirtualClock(), **kwargs)
+        want = _drive(ops, reference, _ReferenceBackend.snapshot)
+        got = _drive(ops, make_backend(**kwargs), _snapshot_fields)
+        assert got == want
+        assert repr(got) == repr(want)  # key order and signed zeros too
+
+    @pytest.mark.parametrize(
+        "kwargs", [{}, _NOISY], ids=["noise-free", "noise+outliers"]
+    )
+    def test_raw_path_matches_reference(self, kwargs):
+        ops = _schedule(seed=9)
+        reference = _ReferenceBackend(VirtualClock(), **kwargs)
+        raw_want = _drive(ops, reference, _ReferenceBackend.snapshot_raw)
+        backend = make_backend(**kwargs)
+        raw_got = _drive(ops, backend, SimulatedBackend.snapshot_raw)
+        assert raw_got == raw_want
+        wrapped = {
+            dom
+            for before, after in zip(raw_want, raw_want[1:])
+            for dom, a, b in zip(Domain, before[2:], after[2:])
+            if b < a
+        }
+        assert wrapped == set(Domain)
+
+        # materialize_raw starts from a fresh baseline at the first reading.
+        readers = {dom: RaplCounterReader(units=backend.units) for dom in Domain}
+        want = [
+            (
+                {dom: readers[dom].update(raw) for dom, raw in zip(Domain, r[2:])},
+                r[0],
+                r[1],
+            )
+            for r in raw_want
+        ]
+        got = [
+            (s.joules, s.wall_seconds, s.cpu_seconds)
+            for s in backend.materialize_raw(raw_got)
+        ]
+        assert got == want
+        assert repr(got) == repr(want)
+
+    def test_materialize_raw_rejects_out_of_range_counters(self):
+        backend = make_backend()
+        reading = backend.snapshot_raw()
+        bad = reading[:3] + (1 << 32,) + reading[4:]
+        with pytest.raises(ValueError, match="out of range"):
+            backend.materialize_raw([reading, bad])

@@ -84,6 +84,7 @@ class TestWrapUnderFaultInjection:
         """A missed-wrap fault makes the raw value jump backwards; the
         reader interprets it as a real wrap and adds ~a full period —
         the classic corruption the suspect-flagging guards against."""
+        pytest.importorskip("numpy")  # the fault plan's RNG
         from repro.resilience import FaultInjectingBackend, FaultPlan
 
         inner = SimulatedBackend(clock=VirtualClock())
@@ -101,6 +102,7 @@ class TestWrapUnderFaultInjection:
     def test_injected_wrap_at_snapshot_level_is_caught(self):
         """At snapshot level the same fault yields a negative delta,
         which is clamped and flagged instead of corrupting totals."""
+        pytest.importorskip("numpy")  # the fault plan's RNG
         from repro.resilience import FaultInjectingBackend, FaultPlan
 
         inner = SimulatedBackend(clock=VirtualClock())
