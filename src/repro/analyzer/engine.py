@@ -18,8 +18,8 @@ from typing import Iterable, Sequence
 from repro.analyzer.findings import Finding
 from repro.analyzer.rules import AnalysisContext, Rule
 from repro.analyzer.rules.base import collect_function_info
-from repro.analyzer.suppress import apply_suppressions
-from repro.semantics import build_semantic_model
+from repro.analyzer.suppress import apply_suppressions, split_suppressed
+from repro.semantics import SemanticModel, build_semantic_model
 from repro.semantics._astutil import child_nodes, memoized_children
 
 _FUNCTION_NODE_SET = frozenset((ast.FunctionDef, ast.AsyncFunctionDef))
@@ -120,9 +120,49 @@ class Analyzer:
         # Parse before pre-filtering: a broken file must raise
         # SyntaxError whether or not any rule would have run on it.
         tree = ast.parse(source, filename=filename)
-        active = self._active_rules(source)
+        findings, _semantics = self._run(
+            tree, source, filename, self._active_rules(source)
+        )
+        findings, suppressed = apply_suppressions(findings, source, tree=tree)
+        findings.sort()
+        suppressed.sort()
+        return findings, suppressed
+
+    def analyze_tree(
+        self,
+        tree: ast.Module,
+        source: str,
+        filename: str,
+        suppressions: dict[int, frozenset[str] | None],
+        rewritten: bool,
+    ) -> tuple[list[tuple[Finding, ast.AST | None]], SemanticModel | None]:
+        """The optimizer's pass analysis: sorted kept findings, each with
+        the node its rule anchored it to (``None`` if built without
+        :meth:`AnalysisContext.finding`), and the walk's semantic model.
+
+        ``tree`` may be a rewrite of ``source`` whose nodes keep their
+        original locations, so snippets and ``suppressions`` (made from
+        the unrewritten tree) resolve by original line.  A ``rewritten``
+        tree can hold code the text lacks, so it is not pre-filtered.
+        """
+        active = self._all_active if rewritten else self._active_rules(source)
+        anchors: dict[int, ast.AST] = {}
+        findings, semantics = self._run(tree, source, filename, active, anchors)
+        kept, _suppressed = split_suppressed(findings, suppressions)
+        kept.sort()
+        return [(f, anchors.get(id(f))) for f in kept], semantics
+
+    def _run(
+        self,
+        tree: ast.Module,
+        source: str,
+        filename: str,
+        active: int,
+        anchors: dict[int, ast.AST] | None = None,
+    ) -> tuple[list[Finding], SemanticModel | None]:
+        """Every active rule's findings for ``tree``, unsuppressed."""
         if not active:
-            return [], []
+            return [], None
         # The tree is immutable from here to the end of the walk, and
         # every semantic layer plus the engine traversal re-reads the
         # same child lists — share them for the duration.
@@ -131,14 +171,15 @@ class Analyzer:
                 tree, filename=filename, eager=self._eager_semantics
             )
             ctx = AnalysisContext(
-                filename=filename, source=source, tree=tree, semantics=semantics
+                filename=filename,
+                source=source,
+                tree=tree,
+                semantics=semantics,
+                anchors=anchors,
             )
             findings: list[Finding] = []
             self._walk(tree, ctx, findings, active)
-        findings, suppressed = apply_suppressions(findings, source, tree=tree)
-        findings.sort()
-        suppressed.sort()
-        return findings, suppressed
+        return findings, semantics
 
     def analyze_file(self, path: str | Path) -> list[Finding]:
         path = Path(path)

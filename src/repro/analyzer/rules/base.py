@@ -66,6 +66,10 @@ class AnalysisContext:
     :class:`~repro.semantics.SemanticModel` — scope/binding
     resolution, lightweight type inference, and loop-nesting hotness —
     computed once per file and shared by every rule.
+
+    ``anchors`` is set only for the optimizer's analyses: every finding
+    built through :meth:`finding` is then recorded under its ``id``
+    with the node it anchors to, the node that rule's transform gets.
     """
 
     def __init__(
@@ -74,6 +78,7 @@ class AnalysisContext:
         source: str,
         tree: ast.Module,
         semantics: "SemanticModel | None" = None,
+        anchors: "dict[int, ast.AST] | None" = None,
     ) -> None:
         from repro.semantics import build_semantic_model
 
@@ -85,6 +90,7 @@ class AnalysisContext:
         self.semantics = semantics or build_semantic_model(
             tree, filename=filename
         )
+        self.anchors = anchors
 
     # -- scope queries ---------------------------------------------------
 
@@ -198,7 +204,7 @@ class AnalysisContext:
         func = self.semantics.enclosing_function(node)
         if func is not None:
             caller_hotness = self.semantics.call_hotness(func)
-        return Finding(
+        finding = Finding(
             file=self.filename,
             line=line,
             col=col,
@@ -216,6 +222,9 @@ class AnalysisContext:
             caller_hotness=caller_hotness,
             pure_context=pure_context,
         )
+        if self.anchors is not None:
+            self.anchors[id(finding)] = node
+        return finding
 
 
 class Rule(abc.ABC):

@@ -15,7 +15,9 @@ from repro.analyzer.findings import Finding, Severity
 from repro.analyzer.rules.base import AnalysisContext, Rule
 
 
-def _is_power_of_two(value: object) -> bool:
+def is_power_of_two(value: object) -> bool:
+    """A positive int (not bool) power of two; shared with the R05
+    transform, whose bitmask rewrite needs exactly this."""
     return isinstance(value, int) and not isinstance(value, bool) and value > 0 \
         and (value & (value - 1)) == 0
 
@@ -41,7 +43,7 @@ class ModulusRule(Rule):
             return
         if not ctx.in_loop:
             return
-        if isinstance(node.right, ast.Constant) and _is_power_of_two(
+        if isinstance(node.right, ast.Constant) and is_power_of_two(
             node.right.value
         ):
             mask = node.right.value - 1

@@ -66,7 +66,8 @@ class TraversalRule(Rule):
 
 
 def _two_indices(node: ast.Subscript) -> tuple[str | None, str | None]:
-    """Extract index names from ``a[i][j]`` or ``a[i, j]`` patterns."""
+    """Extract index names from ``a[i][j]`` or ``a[i, j]`` patterns
+    (shared with the R11 transform, which swaps the loops they name)."""
     # a[i, j]
     if isinstance(node.slice, ast.Tuple) and len(node.slice.elts) == 2:
         first, second = node.slice.elts

@@ -95,15 +95,30 @@ def expand_suppressions(
     return expanded
 
 
+def suppression_map(
+    source: str, tree: ast.AST | None = None
+) -> dict[int, frozenset[str] | None]:
+    """The source's suppressions, grown over ``tree``'s statements."""
+    suppressions = parse_suppressions(source)
+    if tree is not None:
+        suppressions = expand_suppressions(suppressions, tree)
+    return suppressions
+
+
 def apply_suppressions(
     findings: Iterable[Finding],
     source: str,
     tree: ast.AST | None = None,
 ) -> tuple[list[Finding], list[Finding]]:
     """Split findings into (kept, suppressed) per the source's comments."""
-    suppressions = parse_suppressions(source)
-    if tree is not None:
-        suppressions = expand_suppressions(suppressions, tree)
+    return split_suppressed(findings, suppression_map(source, tree))
+
+
+def split_suppressed(
+    findings: Iterable[Finding],
+    suppressions: dict[int, frozenset[str] | None],
+) -> tuple[list[Finding], list[Finding]]:
+    """Split findings into (kept, suppressed) per a suppression map."""
     kept: list[Finding] = []
     suppressed: list[Finding] = []
     for finding in findings:

@@ -1,10 +1,11 @@
-"""Optimizer orchestration: apply transforms, count changes, emit diffs.
+"""Optimizer orchestration: apply the analyzer's fixes, count changes, emit diffs.
 
 The per-file change counts feed the "Changes" column of the Table IV
 reproduction, exactly as the paper counts the edits made to WEKA.  The
-transform pipeline comes from :data:`repro.rules.REGISTRY`, and rules
-that have a detector but no transform surface their residual findings
-as "detected but not auto-fixable" on the result.
+optimizer applies the analyzer's own suggestions: every change is a
+kept finding of a rule whose transform rewrote the tree at the node the
+finding anchors.  Findings of rules without a transform surface as
+"detected but not auto-fixable" on the result.
 """
 
 from __future__ import annotations
@@ -14,18 +15,20 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+from repro.analyzer.engine import Analyzer
 from repro.analyzer.findings import Finding
+from repro.analyzer.suppress import suppression_map
 from repro.optimizer.diff import unified_diff
-from repro.optimizer.transforms.base import AppliedChange, Transform
+from repro.optimizer.transforms.base import AppliedChange, FixContext, Transform
 
 
 @dataclass(frozen=True)
 class OptimizationResult:
     """Outcome of optimizing one source unit.
 
-    ``unfixable`` lists findings still present in the *optimized*
-    source whose rule ships no transform — the paper's gap between
-    "suggested" and "automatically applied".
+    ``unfixable`` lists the findings, in the optimized tree, of rules
+    that ship no transform — the paper's gap between "suggested" and
+    "automatically applied".  Their lines are lines of ``original``.
     """
 
     filename: str
@@ -49,51 +52,66 @@ class OptimizationResult:
 
 
 class Optimizer:
-    """Applies the mechanical transform set to sources/files/projects.
+    """Applies the analyzer's fixable findings to sources/files/projects.
 
-    ``max_passes`` controls fixpoint iteration: some rewrites enable
-    others (hoisting a statement can leave a single-statement loop body
-    that the loop swap needs), so the transform pipeline re-runs until
-    quiescent or the bound is hit.
-
-    Each expensive step runs only when a cheap syntactic check says it
-    can matter: the re.compile hoist builds its semantic model only
-    when a loop body holds a candidate (still from the pristine tree,
-    before any rewrite), a transform fixes up locations only after
-    recording a change, and the unfixable re-analysis runs only the
-    detectors whose rule has no transform.
+    ``optimize_source`` parses once and then works in passes.  Each
+    pass analyzes the live tree once, against the original source text,
+    so suppression comments and snippets resolve by original line in
+    every pass.  Each kept finding whose rule has a transform goes, with
+    its anchor node, to that transform, in ``application_order`` and
+    then source order.  A fix waits for the next pass when an earlier
+    transform of the pass changed its statement, or its function when
+    the fix reads the pass's semantic model (see
+    :meth:`FixContext.apply`).  Passes repeat
+    while they apply something (some rewrites enable others: the
+    string builder's append loop is then an R10 copy loop), at most
+    ``max_passes`` times.  The first pass that applies nothing supplies
+    the unfixable report; only when ``max_passes`` ends the loop does
+    one more analysis run for it.
 
     Parameters
     ----------
     transforms:
         Explicit transform classes; default is the registry's pipeline
         in ``application_order`` (runtime-registered transforms
-        included).
-    registry:
-        Registry supplying the default pipeline and the transform
-        coverage used for ``unfixable``; the process-wide
-        :data:`repro.rules.REGISTRY` when omitted.
+        included).  Each pass runs the registered detectors of these
+        transforms' rules, plus every default detector whose rule has
+        no transform.
     report_unfixable:
-        Re-analyze the optimized source with the detectors whose rule
-        has no transform and attach their findings (default True;
-        disable for raw rewrite speed).
+        Run the detectors of rules without a transform and attach their
+        findings (default True; disable for raw rewrite speed).
     """
 
     def __init__(
         self,
         transforms: Sequence[type[Transform]] | None = None,
         max_passes: int = 4,
-        registry=None,
         report_unfixable: bool = True,
     ) -> None:
         if max_passes < 1:
             raise ValueError(f"max_passes must be >= 1, got {max_passes}")
-        if registry is None:
-            from repro.rules import REGISTRY as registry
-        self._registry = registry
+        from repro.rules import REGISTRY
+
         self._transform_classes = tuple(
-            transforms if transforms is not None else registry.transform_classes()
+            transforms if transforms is not None else REGISTRY.transform_classes()
         )
+        #: rule id -> (pipeline position, transform)
+        self._fixers: dict[str, tuple[int, Transform]] = {
+            cls.rule_id: (position, cls())
+            for position, cls in enumerate(self._transform_classes)
+        }
+        detectors = [
+            REGISTRY.get(rule_id).detector
+            for rule_id in self._fixers
+            if rule_id in REGISTRY
+        ]
+        if report_unfixable:
+            detectors += [
+                cls
+                for cls in REGISTRY.detector_classes()
+                if not REGISTRY.has_transform(cls.rule_id)
+            ]
+        self._analyzer = Analyzer(rules=detectors)
         self._max_passes = max_passes
         self._report_unfixable = report_unfixable
         # Accounting from the most recent optimize_project sweep.
@@ -105,41 +123,58 @@ class Optimizer:
     def optimize_source(
         self, source: str, filename: str = "<source>"
     ) -> OptimizationResult:
-        """Rewrite one source string through all transforms to fixpoint."""
+        """Apply the fixable findings of ``source`` pass by pass."""
         tree = ast.parse(source, filename=filename)
-        all_changes: list[AppliedChange] = []
+        suppressions = suppression_map(source, tree)
+        changes: list[AppliedChange] = []
         for _pass in range(self._max_passes):
-            pass_changes: list[AppliedChange] = []
-            for transform_class in self._transform_classes:
-                tree, changes = transform_class().apply(tree)
-                pass_changes.extend(changes)
-            all_changes.extend(pass_changes)
-            if not pass_changes:
+            findings, semantics = self._analyzer.analyze_tree(
+                tree, source, filename, suppressions, rewritten=bool(changes)
+            )
+            applied = self._apply(tree, semantics, findings)
+            if not applied:
                 break
-        optimized = ast.unparse(tree) + "\n" if all_changes else source
+            changes.extend(applied)
+        else:
+            if self._report_unfixable:
+                findings, _semantics = self._analyzer.analyze_tree(
+                    tree, source, filename, suppressions, rewritten=True
+                )
+        optimized = ast.unparse(tree) + "\n" if changes else source
         # The rewritten module must still parse — cheap self-check that
         # guards against a transform emitting a malformed tree.
         ast.parse(optimized, filename=filename)
+        unfixable = ()
+        if self._report_unfixable:
+            unfixable = tuple(
+                f for f, _node in findings if f.rule_id not in self._fixers
+            )
         return OptimizationResult(
             filename=filename,
             original=source,
             optimized=optimized,
-            changes=tuple(all_changes),
-            unfixable=self._find_unfixable(optimized, filename),
+            changes=tuple(changes),
+            unfixable=unfixable,
         )
 
-    def _find_unfixable(self, optimized: str, filename: str) -> tuple[Finding, ...]:
-        """Residual findings whose rule ships no transform."""
-        if not self._report_unfixable:
-            return ()
-        from repro.analyzer.engine import Analyzer
-
-        analyzer = Analyzer(
-            rules=unfixable_detectors(
-                self._registry.detector_classes(), fixable_rule_ids(self._registry)
-            )
-        )
-        return tuple(analyzer.analyze_source(optimized, filename=filename))
+    def _apply(self, tree, semantics, findings) -> list[AppliedChange]:
+        """One pass's fixes, in pipeline then source order."""
+        work = []
+        for finding, node in findings:
+            fixer = self._fixers.get(finding.rule_id)
+            if fixer is not None and node is not None:
+                work.append((fixer[0], fixer[1], node))
+        # Findings arrive in source order; a stable sort keeps it.
+        work.sort(key=lambda item: item[0])
+        if not work:
+            return []
+        ctx = FixContext(tree, semantics)
+        applied: list[AppliedChange] = []
+        for _key, transform, node in work:
+            change = ctx.apply(transform, node)
+            if change is not None:
+                applied.append(change)
+        return applied
 
     def optimize_file(self, path: str | Path, write: bool = False) -> OptimizationResult:
         """Optimize a file; ``write=True`` rewrites it in place."""
@@ -197,38 +232,19 @@ class Optimizer:
 
     def _sweep_job(self):
         """The picklable per-file work unit for project sweeps."""
+        from repro.rules import REGISTRY
         from repro.sweep import OptimizeJob
 
         return OptimizeJob(
             transform_classes=self._transform_classes,
-            detector_classes=self._registry.detector_classes(),
-            fixable_rule_ids=fixable_rule_ids(self._registry),
             max_passes=self._max_passes,
             report_unfixable=self._report_unfixable,
-            registry_fingerprint=self._registry.fingerprint(),
+            registry_fingerprint=REGISTRY.fingerprint(),
         )
 
     def total_changes(self, results: dict[str, OptimizationResult]) -> int:
         """Project-wide applied-change count (Table IV "Changes")."""
         return sum(len(r.changes) for r in results.values())
-
-
-def fixable_rule_ids(registry) -> frozenset[str]:
-    """Ids of the rules in ``registry`` that ship a transform."""
-    return frozenset(spec.rule_id for spec in registry if spec.transform is not None)
-
-
-def unfixable_detectors(
-    detector_classes: Sequence[type], fixable: frozenset[str]
-) -> tuple[type, ...]:
-    """The detectors whose findings can be "detected but not auto-fixable".
-
-    Rules are independent (per-rule triggers, per-finding suppression,
-    sorted output), so analyzing with only these detectors yields
-    exactly the findings that running every detector and dropping the
-    fixable rules' findings would.
-    """
-    return tuple(cls for cls in detector_classes if cls.rule_id not in fixable)
 
 
 def optimize_source(source: str, filename: str = "<source>") -> OptimizationResult:

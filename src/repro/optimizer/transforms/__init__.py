@@ -1,11 +1,10 @@
-"""Mechanical AST transforms, one per auto-fixable rule.
+"""Fix builders, one per auto-fixable rule.
 
 The pipeline is enumerated by :data:`repro.rules.REGISTRY`
 (``REGISTRY.transform_classes()``), ordered by each transform's
 ``application_order``: statement-level splices (string builder, hoists)
-run before expression-level rewrites so line anchors stay meaningful,
-and the loop swap runs last because other transforms may simplify
-bodies into the single-statement shape it requires.
+run before expression-level rewrites, and the loop swap runs last.
+Each transform rewrites only at the nodes its rule's findings anchor.
 """
 
 from repro.optimizer.transforms.base import AppliedChange, Transform

@@ -25,10 +25,11 @@ import ast
 import builtins
 
 from repro.analyzer.rules.base import collect_module_names, target_names
-from repro.optimizer.transforms.base import AppliedChange, Transform
-from repro.semantics import SemanticModel, build_semantic_model
+from repro.optimizer.transforms.base import AppliedChange, FixContext, Transform
+from repro.semantics import SemanticModel
 
 _BUILTINS = frozenset(dir(builtins))
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 class GlobalHoistTransform(Transform):
@@ -36,95 +37,104 @@ class GlobalHoistTransform(Transform):
     rule_id = "R04_GLOBAL_IN_LOOP"
     application_order = 30
 
-    def apply(self, tree: ast.Module) -> tuple[ast.Module, list[AppliedChange]]:
-        changes: list[AppliedChange] = []
-        module_names = collect_module_names(tree)
-        # Full scope resolution backs the name-set heuristics: a
-        # candidate is only hoisted when every one of its loads in the
-        # loop actually resolves to the module namespace.  This catches
-        # bindings the syntactic local scan cannot see — walrus targets
-        # earlier in the function, comprehension leaks, nonlocals.
-        semantics = build_semantic_model(tree)
-        for func in ast.walk(tree):
-            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            self._hoist_in_function(func, module_names, changes, semantics)
-        if changes:
-            ast.fix_missing_locations(tree)
-        return tree, changes
-
-    def _hoist_in_function(
-        self, func, module_names: set[str], changes, semantics: SemanticModel
-    ) -> None:
-        locals_ = _function_locals(func)
-        body = func.body
-        index = 0
-        while index < len(body):
-            stmt = body[index]
-            if isinstance(stmt, (ast.For, ast.While)):
-                hoisted = self._hoist_loop(
-                    stmt, module_names, locals_, semantics
-                )
-                for name, alias in hoisted:
-                    body.insert(
-                        index,
-                        ast.Assign(
-                            targets=[ast.Name(id=alias, ctx=ast.Store())],
-                            value=ast.Name(id=name, ctx=ast.Load()),
-                        ),
-                    )
-                    locals_.add(alias)
-                    index += 1
-                    changes.append(
-                        self._change(
-                            stmt, f"hoisted global {name!r} to local {alias!r}"
-                        )
-                    )
-            index += 1
-
-    def _hoist_loop(self, loop, module_names, locals_, semantics):
-        reads: dict[str, list[ast.Name]] = {}
-        blocked: set[str] = set()
-        callgraph = semantics.purity
-        for node in ast.walk(loop):
-            if isinstance(node, ast.Name):
-                if isinstance(node.ctx, ast.Load):
-                    reads.setdefault(node.id, []).append(node)
-                else:
-                    blocked.add(node.id)
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                # Renaming inside nested scopes is unsafe; skip their names.
-                for sub in ast.walk(node):
-                    if isinstance(sub, ast.Name):
-                        blocked.add(sub.id)
-            elif isinstance(node, ast.Call):
-                # Interprocedural gate: a loop-body call that (even
-                # transitively) rebinds a global makes the pre-loop
-                # snapshot stale — the call graph's effect sets block
-                # exactly those names.
-                callee = _resolve_call(node, semantics)
-                if callee is not None:
-                    blocked.update(callgraph.global_writes(callee))
-        candidates = [
-            name
-            for name, load_nodes in reads.items()
-            if name in module_names
+    def fix(self, node: ast.Name, ctx: FixContext) -> AppliedChange | None:
+        site = _hoist_site(node, ctx)
+        if site is None:
+            return None
+        func, loop = site
+        memo = ctx.memo
+        # Facts read before this pass hoists anything, as if every
+        # name of a function were hoisted at once, enclosing functions
+        # first: the module's names, each function's locals (growing
+        # by each alias) and, per loop, its reads and the names it
+        # must not hoist.
+        if ctx.tree not in memo:
+            memo[ctx.tree] = collect_module_names(ctx.tree)
+        module_names = memo[ctx.tree]
+        memo.update(
+            (scope, _function_locals(scope))
+            for scope in (func, *ctx.ancestors(func))
+            if scope not in memo and isinstance(scope, _FUNCTIONS)
+        )
+        locals_ = memo[func]
+        facts = memo.get(loop)
+        if facts is None:
+            facts = memo[loop] = _loop_facts(loop, ctx.semantics)
+        reads, blocked = facts
+        name = node.id
+        loads = reads.get(name, ())
+        alias = f"_local_{name}"
+        if not (
+            name in module_names
             and name not in locals_
             and name not in blocked
             and name not in _BUILTINS
-            and all(
-                semantics.resolve(node).is_module_level
-                for node in load_nodes
-            )
-        ]
-        hoisted = []
-        for name in candidates:
-            alias = f"_local_{name}"
-            if alias in locals_ or alias in module_names:
-                continue
-            _rename_loads(loop, name, alias)
-            hoisted.append((name, alias))
-        return hoisted
+            and alias not in locals_
+            and alias not in module_names
+            and any(load is node for load in loads)
+            # Full scope resolution backs the name-set heuristics: a
+            # name is only hoisted when every one of its loads in the
+            # loop actually resolves to the module namespace.  This
+            # catches bindings the syntactic local scan cannot see —
+            # walrus targets earlier in the function, comprehension
+            # leaks, nonlocals.
+            and all(ctx.semantics.resolve(load).is_module_level for load in loads)
+        ):
+            return None
+        for load in loads:
+            load.id = alias
+        locals_.add(alias)
+        ctx.touch(loop)
+        ctx.insert(
+            loop,
+            ast.Assign(
+                targets=[ast.Name(id=alias, ctx=ast.Store())],
+                value=ast.Name(id=name, ctx=ast.Load()),
+            ),
+        )
+        return self._change(loop, f"hoisted global {name!r} to local {alias!r}")
+
+
+def _hoist_site(node: ast.AST, ctx: FixContext):
+    """(function, loop) when ``node`` lies in a loop that is a top-level
+    statement of the innermost function holding it, else None."""
+    chain = list(ctx.ancestors(node))
+    func = next((a for a in chain if isinstance(a, _FUNCTIONS)), None)
+    if func is None:
+        return None
+    loops = [
+        a for a in chain[: chain.index(func)] if isinstance(a, (ast.For, ast.While))
+    ]
+    if loops and any(stmt is loops[-1] for stmt in func.body):
+        return func, loops[-1]
+    return None
+
+
+def _loop_facts(loop, semantics: SemanticModel):
+    """The loop's Load names by id, and the names it must not hoist."""
+    reads: dict[str, list[ast.Name]] = {}
+    blocked: set[str] = set()
+    callgraph = semantics.purity
+    for node in ast.walk(loop):
+        if isinstance(node, ast.Name):
+            if isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.id, []).append(node)
+            else:
+                blocked.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            # Renaming inside nested scopes is unsafe; skip their names.
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    blocked.add(sub.id)
+        elif isinstance(node, ast.Call):
+            # Interprocedural gate: a loop-body call that (even
+            # transitively) rebinds a global makes the pre-loop
+            # snapshot stale — the call graph's effect sets block
+            # exactly those names.
+            callee = _resolve_call(node, semantics)
+            if callee is not None:
+                blocked.update(callgraph.global_writes(callee))
+    return reads, blocked
 
 
 def _resolve_call(call: ast.Call, semantics: SemanticModel):
@@ -187,13 +197,3 @@ def _function_locals(func) -> set[str]:
     # Names declared `global` are counted as locals here so that the
     # hoister never touches them — they may be rebound by the function.
     return names | declared_global
-
-
-def _rename_loads(loop, name: str, alias: str) -> None:
-    for node in ast.walk(loop):
-        if (
-            isinstance(node, ast.Name)
-            and node.id == name
-            and isinstance(node.ctx, ast.Load)
-        ):
-            node.id = alias

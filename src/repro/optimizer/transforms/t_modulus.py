@@ -11,16 +11,8 @@ from __future__ import annotations
 
 import ast
 
-from repro.optimizer.transforms.base import AppliedChange, Transform
-
-
-def _is_power_of_two(value: object) -> bool:
-    return (
-        isinstance(value, int)
-        and not isinstance(value, bool)
-        and value > 0
-        and (value & (value - 1)) == 0
-    )
+from repro.analyzer.rules.r05_modulus import is_power_of_two
+from repro.optimizer.transforms.base import AppliedChange, FixContext, Transform
 
 
 class ModulusToBitmask(Transform):
@@ -28,58 +20,31 @@ class ModulusToBitmask(Transform):
     rule_id = "R05_MODULUS"
     application_order = 21
 
-    def apply(self, tree: ast.Module) -> tuple[ast.Module, list[AppliedChange]]:
-        changes: list[AppliedChange] = []
-        rewriter = _Rewriter(changes, self._change)
-        tree = rewriter.visit(tree)
-        if changes:
-            ast.fix_missing_locations(tree)
-        return tree, changes
-
-
-class _Rewriter(ast.NodeTransformer):
-    def __init__(self, changes: list[AppliedChange], make_change) -> None:
-        self._changes = changes
-        self._make_change = make_change
-        self._range_vars: list[set[str]] = [set()]
-
-    def visit_For(self, node: ast.For) -> ast.For:
-        bound: set[str] = set()
-        if (
-            isinstance(node.target, ast.Name)
-            and isinstance(node.iter, ast.Call)
-            and isinstance(node.iter.func, ast.Name)
-            and node.iter.func.id == "range"
+    def fix(self, node: ast.BinOp, ctx: FixContext) -> AppliedChange | None:
+        left, right = node.left, node.right
+        if not (
+            isinstance(right, ast.Constant)
+            and is_power_of_two(right.value)
+            and isinstance(left, ast.Name)
+            and any(_binds_range_index(loop, left.id) for loop in ctx.ancestors(node))
         ):
-            bound = {node.target.id}
-        self._range_vars.append(self._range_vars[-1] | bound)
-        try:
-            self.generic_visit(node)
-        finally:
-            self._range_vars.pop()
-        return node
+            return None
+        mask = right.value - 1
+        ctx.replace(
+            node, ast.BinOp(left=left, op=ast.BitAnd(), right=ast.Constant(mask))
+        )
+        return self._change(
+            node, f"{left.id} % {right.value} → {left.id} & {mask}"
+        )
 
-    def visit_BinOp(self, node: ast.BinOp) -> ast.AST:
-        self.generic_visit(node)
-        if (
-            isinstance(node.op, ast.Mod)
-            and isinstance(node.right, ast.Constant)
-            and _is_power_of_two(node.right.value)
-            and isinstance(node.left, ast.Name)
-            and node.left.id in self._range_vars[-1]
-        ):
-            mask = node.right.value - 1
-            replacement = ast.BinOp(
-                left=node.left,
-                op=ast.BitAnd(),
-                right=ast.Constant(mask),
-            )
-            self._changes.append(
-                self._make_change(
-                    node,
-                    f"{node.left.id} % {node.right.value} → "
-                    f"{node.left.id} & {mask}",
-                )
-            )
-            return ast.copy_location(replacement, node)
-        return node
+
+def _binds_range_index(node: ast.AST, name: str) -> bool:
+    """``node`` is ``for <name> in range(...)``."""
+    return (
+        isinstance(node, ast.For)
+        and isinstance(node.target, ast.Name)
+        and node.target.id == name
+        and isinstance(node.iter, ast.Call)
+        and isinstance(node.iter.func, ast.Name)
+        and node.iter.func.id == "range"
+    )

@@ -29,7 +29,7 @@ import ast
 import keyword
 
 from repro.analyzer.rules.r15_range_len import range_len_sequence
-from repro.optimizer.transforms.base import AppliedChange, Transform
+from repro.optimizer.transforms.base import AppliedChange, FixContext, Transform
 
 
 class RangeLenToEnumerate(Transform):
@@ -37,81 +37,55 @@ class RangeLenToEnumerate(Transform):
     rule_id = "R15_RANGE_LEN"
     application_order = 40
 
-    def apply(self, tree: ast.Module) -> tuple[ast.Module, list[AppliedChange]]:
-        changes: list[AppliedChange] = []
-        # A loop can start to match mid-walk (rewriting the outer loop
-        # turns ``len(grid[i])`` into ``len(grid_item)``), but only after
-        # a loop that already matched, so a module without one needs
-        # neither whole-tree scan.
-        if not any(
-            isinstance(node, ast.For) and range_len_sequence(node.iter) is not None
-            for node in ast.walk(tree)
-        ):
-            return tree, changes
-        if _name_is_bound(tree, "enumerate"):
-            return tree, changes
-        taken = _all_identifiers(tree)
-        for node in ast.walk(tree):
-            for name in ("body", "orelse", "finalbody"):
-                body = getattr(node, name, None)
-                if not isinstance(body, list):
-                    continue
-                for stmt in body:
-                    if isinstance(stmt, ast.For):
-                        self._try_rewrite(stmt, taken, changes)
-        if changes:
-            ast.fix_missing_locations(tree)
-        return tree, changes
-
-    def _try_rewrite(
-        self, loop: ast.For, taken: set[str], changes: list[AppliedChange]
-    ) -> None:
-        if not isinstance(loop.target, ast.Name):
-            return
-        index = loop.target.id
-        sequence = range_len_sequence(loop.iter)
+    def fix(self, node: ast.For, ctx: FixContext) -> AppliedChange | None:
+        if not isinstance(node.target, ast.Name):
+            return None
+        index = node.target.id
+        sequence = range_len_sequence(node.iter)
         if sequence is None or sequence == index:
-            return
-        reads = _subscript_reads(loop, index, sequence)
-        if reads is None or not reads:
-            return
+            return None
+        reads = _subscript_reads(node, index, sequence)
+        if not reads:
+            return None
+        # Both whole-tree scans run once per pass, before this pass's
+        # first rewrite; the names each rewrite adds join ``taken``.
+        facts = ctx.memo.get(ctx.tree)
+        if facts is None:
+            facts = ctx.memo[ctx.tree] = (
+                _name_is_bound(ctx.tree, "enumerate"),
+                _all_identifiers(ctx.tree),
+            )
+        enumerate_bound, taken = facts
+        if enumerate_bound:
+            return None
         item = _fresh_name(f"{sequence}_item", taken)
         taken.add(item)
-        _ReplaceNodes(reads, item).visit(loop)
-        loop.target = ast.Tuple(
-            elts=[
-                ast.Name(id=index, ctx=ast.Store()),
-                ast.Name(id=item, ctx=ast.Store()),
-            ],
-            ctx=ast.Store(),
+        items = [(read, ast.Name(id=item, ctx=ast.Load())) for read in reads]
+        for read, name in items:
+            ctx.replace(read, name)
+        ctx.replace(
+            node.target,
+            ast.Tuple(
+                elts=[
+                    ast.Name(id=index, ctx=ast.Store()),
+                    ast.Name(id=item, ctx=ast.Store()),
+                ],
+                ctx=ast.Store(),
+            ),
         )
-        loop.iter = ast.Call(
-            func=ast.Name(id="enumerate", ctx=ast.Load()),
-            args=[ast.Name(id=sequence, ctx=ast.Load())],
-            keywords=[],
+        ctx.replace(
+            node.iter,
+            ast.Call(
+                func=ast.Name(id="enumerate", ctx=ast.Load()),
+                args=[ast.Name(id=sequence, ctx=ast.Load())],
+                keywords=[],
+            ),
         )
-        changes.append(
-            self._change(
-                loop,
-                f"for {index} in range(len({sequence})) → "
-                f"for {index}, {item} in enumerate({sequence})",
-            )
+        return self._change(
+            node,
+            f"for {index} in range(len({sequence})) → "
+            f"for {index}, {item} in enumerate({sequence})",
         )
-
-
-class _ReplaceNodes(ast.NodeTransformer):
-    """Swap a known set of subscript nodes for a name read."""
-
-    def __init__(self, targets: "list[ast.Subscript]", item: str) -> None:
-        self._targets = set(map(id, targets))
-        self._item = item
-
-    def visit_Subscript(self, node: ast.Subscript) -> ast.AST:
-        if id(node) in self._targets:
-            return ast.copy_location(
-                ast.Name(id=self._item, ctx=ast.Load()), node
-            )
-        return self.generic_visit(node)
 
 
 def _subscript_reads(

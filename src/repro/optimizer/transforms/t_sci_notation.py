@@ -17,7 +17,7 @@ import ast
 import math
 from decimal import Decimal
 
-from repro.optimizer.transforms.base import AppliedChange, Transform
+from repro.optimizer.transforms.base import AppliedChange, FixContext, Transform
 
 #: Rewrite only literals whose decimal spelling carries at least this
 #: many consecutive zeros (mirrors the R02 detector's threshold).
@@ -78,17 +78,11 @@ class SciNotationTransform(Transform):
     rule_id = "R02_SCI_NOTATION"
     application_order = 23
 
-    def apply(self, tree: ast.Module) -> tuple[ast.Module, list[AppliedChange]]:
-        changes: list[AppliedChange] = []
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Constant):
-                continue
-            spelling = sci_spelling(node.value)
-            if spelling is None:
-                continue
-            original = repr(node.value)
-            node.value = _SciFloat(node.value, spelling)
-            changes.append(
-                self._change(node, f"literal {original} → {spelling}")
-            )
-        return tree, changes
+    def fix(self, node: ast.Constant, ctx: FixContext) -> AppliedChange | None:
+        spelling = sci_spelling(node.value)
+        if spelling is None:
+            return None
+        original = repr(node.value)
+        node.value = _SciFloat(node.value, spelling)
+        ctx.touch(ctx.statement(node))
+        return self._change(node, f"literal {original} → {spelling}")

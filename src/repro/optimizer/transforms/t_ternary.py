@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.optimizer.transforms.base import AppliedChange, Transform
+from repro.optimizer.transforms.base import AppliedChange, FixContext, Transform
 
 
 class TernaryToIfTransform(Transform):
@@ -24,61 +24,53 @@ class TernaryToIfTransform(Transform):
     rule_id = "R06_TERNARY"
     application_order = 22
 
-    def apply(self, tree: ast.Module) -> tuple[ast.Module, list[AppliedChange]]:
-        changes: list[AppliedChange] = []
-        self._walk(tree, in_loop=False, changes=changes)
-        if changes:
-            ast.fix_missing_locations(tree)
-        return tree, changes
-
-    def _walk(self, node: ast.AST, in_loop: bool, changes) -> None:
-        for name in ("body", "orelse", "finalbody"):
-            body = getattr(node, name, None)
-            if not isinstance(body, list):
-                continue
-            for index, stmt in enumerate(list(body)):
-                inner_loop = in_loop or isinstance(node, (ast.For, ast.While))
-                if inner_loop and self._matches(stmt):
-                    body[index] = ast.copy_location(self._rewrite(stmt), stmt)
-                    changes.append(
-                        self._change(stmt, "ternary assignment → if/else statement")
-                    )
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    # A def's body is not per-iteration even inside a loop.
-                    child_in_loop = False
-                else:
-                    child_in_loop = inner_loop or isinstance(
-                        stmt, (ast.For, ast.While)
-                    )
-                self._walk(body[index], child_in_loop, changes)
-        for handler in getattr(node, "handlers", []) or []:
-            self._walk(handler, in_loop, changes)
-
-    @staticmethod
-    def _matches(stmt: ast.stmt) -> bool:
-        return (
+    def fix(self, node: ast.IfExp, ctx: FixContext) -> AppliedChange | None:
+        stmt = ctx.parent(node)
+        if not (
             isinstance(stmt, ast.Assign)
+            and stmt.value is node
             and len(stmt.targets) == 1
             and isinstance(stmt.targets[0], ast.Name)
-            and isinstance(stmt.value, ast.IfExp)
-        )
+            and _per_iteration(stmt, ctx)
+        ):
+            return None
+        ctx.replace(stmt, _rewrite(stmt))
+        return self._change(stmt, "ternary assignment → if/else statement")
 
-    @staticmethod
-    def _rewrite(stmt: ast.Assign) -> ast.If:
-        ifexp: ast.IfExp = stmt.value  # type: ignore[assignment]
-        target = stmt.targets[0]
-        return ast.If(
-            test=ifexp.test,
-            body=[
-                ast.Assign(
-                    targets=[ast.Name(id=target.id, ctx=ast.Store())],  # type: ignore[union-attr]
-                    value=ifexp.body,
-                )
-            ],
-            orelse=[
-                ast.Assign(
-                    targets=[ast.Name(id=target.id, ctx=ast.Store())],  # type: ignore[union-attr]
-                    value=ifexp.orelse,
-                )
-            ],
-        )
+
+def _per_iteration(stmt: ast.stmt, ctx: FixContext) -> bool:
+    """``stmt`` runs once per iteration of an enclosing loop.
+
+    A def's body is not per-iteration even inside a loop.
+    """
+    boundary = next(
+        (
+            ancestor
+            for ancestor in ctx.ancestors(stmt)
+            if isinstance(
+                ancestor, (ast.For, ast.While, ast.FunctionDef, ast.AsyncFunctionDef)
+            )
+        ),
+        None,
+    )
+    return isinstance(boundary, (ast.For, ast.While))
+
+
+def _rewrite(stmt: ast.Assign) -> ast.If:
+    ifexp: ast.IfExp = stmt.value  # type: ignore[assignment]
+    target = stmt.targets[0].id  # type: ignore[union-attr]
+    return ast.If(
+        test=ifexp.test,
+        body=[
+            ast.Assign(
+                targets=[ast.Name(id=target, ctx=ast.Store())],
+                value=ifexp.body,
+            )
+        ],
+        orelse=[
+            ast.Assign(
+                targets=[ast.Name(id=target, ctx=ast.Store())],
+                value=ifexp.orelse,
+            )
+        ],
+    )

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import ast
 
-from repro.optimizer.transforms.base import AppliedChange, Transform
+from repro.analyzer.rules.r11_traversal import _two_indices
+from repro.optimizer.transforms.base import AppliedChange, FixContext, Transform
 
 
 class LoopSwapTransform(Transform):
@@ -29,30 +30,35 @@ class LoopSwapTransform(Transform):
     rule_id = "R11_TRAVERSAL"
     application_order = 90
 
-    def apply(self, tree: ast.Module) -> tuple[ast.Module, list[AppliedChange]]:
-        changes: list[AppliedChange] = []
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.For):
-                continue
-            inner = self._swappable_inner(node)
-            if inner is None:
-                continue
-            outer_var = node.target.id  # type: ignore[union-attr]
-            inner_var = inner.target.id  # type: ignore[union-attr]
-            if not self._column_major(inner, inner_var, outer_var):
-                continue
-            node.target, inner.target = inner.target, node.target
-            node.iter, inner.iter = inner.iter, node.iter
-            changes.append(
-                self._change(
-                    node,
-                    f"swapped loops: outer now iterates row index "
-                    f"{inner_var!r}, inner iterates {outer_var!r}",
-                )
-            )
-        if changes:
-            ast.fix_missing_locations(tree)
-        return tree, changes
+    def fix(self, node: ast.Subscript, ctx: FixContext) -> AppliedChange | None:
+        # The finding anchors the column-major access ``a[inner][outer]``.
+        inner_var, outer_var = _two_indices(node)
+        inner = next(
+            (
+                loop
+                for loop in ctx.ancestors(node)
+                if isinstance(loop, ast.For)
+                and isinstance(loop.target, ast.Name)
+                and loop.target.id == inner_var
+            ),
+            None,
+        )
+        outer = ctx.parent(inner) if inner is not None else None
+        if not (
+            isinstance(outer, ast.For)
+            and self._swappable_inner(outer) is inner
+            and outer.target.id == outer_var  # type: ignore[union-attr]
+        ):
+            return None
+        outer.target, inner.target = inner.target, outer.target
+        outer.iter, inner.iter = inner.iter, outer.iter
+        ctx.touch(outer)
+        ctx.touch(inner)
+        return self._change(
+            outer,
+            f"swapped loops: outer now iterates row index "
+            f"{inner_var!r}, inner iterates {outer_var!r}",
+        )
 
     @staticmethod
     def _swappable_inner(outer: ast.For) -> ast.For | None:
@@ -80,23 +86,3 @@ class LoopSwapTransform(Transform):
         if outer_var in inner_iter_names or inner_var in outer_iter_names:
             return None
         return inner
-
-    @staticmethod
-    def _column_major(inner: ast.For, inner_var: str, outer_var: str) -> bool:
-        for node in ast.walk(inner):
-            if not isinstance(node, ast.Subscript):
-                continue
-            if isinstance(node.slice, ast.Tuple) and len(node.slice.elts) == 2:
-                first, second = node.slice.elts
-            elif isinstance(node.value, ast.Subscript):
-                first, second = node.value.slice, node.slice
-            else:
-                continue
-            if (
-                isinstance(first, ast.Name)
-                and isinstance(second, ast.Name)
-                and first.id == inner_var
-                and second.id == outer_var
-            ):
-                return True
-        return False

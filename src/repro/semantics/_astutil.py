@@ -53,8 +53,9 @@ def memoized_children():
     immutable and stays referenced for the whole block (``id`` reuse
     after collection would alias entries).  The optimizer's rewrite
     passes mutate trees between model builds, so they must run
-    *outside* any memo scope — which they do: only
-    ``Analyzer.analyze_source_full`` enters it, per source string.
+    *outside* any memo scope — which they do: only ``Analyzer._run``
+    enters it, for one analysis of a tree, and the optimizer rewrites
+    between analyses.
     """
     global _MEMO
     previous = _MEMO

@@ -82,18 +82,6 @@ def decode_finding(row: list, file: str) -> Finding:
     )
 
 
-def _class_token(cls: type) -> tuple:
-    # Triggers are folded in for the same reason as ``version``: a rule
-    # whose pre-filter triggers changed may run on a different set of
-    # files, so cached results for it are stale.
-    return (
-        cls.__module__,
-        cls.__qualname__,
-        getattr(cls, "version", 1),
-        getattr(cls, "triggers", None),
-    )
-
-
 def _digest(parts: object) -> str:
     return hashlib.sha256(repr(parts).encode("utf-8")).hexdigest()
 
@@ -143,6 +131,8 @@ class AnalyzeJob(SweepJob):
     kind = "analyze"
 
     def fingerprint(self) -> str:
+        from repro.rules.registry import _class_token
+
         return _digest(
             (
                 self.kind,
@@ -180,17 +170,16 @@ class AnalyzeJob(SweepJob):
 
 @dataclass(frozen=True)
 class OptimizeJob(SweepJob):
-    """One optimizer pass per file (``pepo optimize`` on a directory).
+    """One optimizer run per file (``pepo optimize`` on a directory).
 
-    Carries the detector classes and the set of auto-fixable rule ids
-    explicitly (instead of a registry object) so the whole job stays
-    picklable: workers rebuild the "detected but not auto-fixable"
-    report from these without needing the parent's registry instance.
+    Workers build the same :class:`~repro.optimizer.rewriter.Optimizer`
+    an in-process run uses and call its ``optimize_source``, so a sweep
+    and ``Optimizer.optimize_source`` share one code path.  The
+    optimizer reads its detectors from the process-wide registry, which
+    the registry fingerprint covers.
     """
 
     transform_classes: tuple[type, ...]
-    detector_classes: tuple[type, ...]
-    fixable_rule_ids: frozenset[str]
     max_passes: int = 4
     report_unfixable: bool = True
     registry_fingerprint: str = ""
@@ -198,6 +187,8 @@ class OptimizeJob(SweepJob):
     kind = "optimize"
 
     def fingerprint(self) -> str:
+        from repro.rules.registry import _class_token
+
         return _digest(
             (
                 self.kind,
@@ -205,50 +196,30 @@ class OptimizeJob(SweepJob):
                 SEMANTICS_VERSION,
                 self.registry_fingerprint,
                 tuple(_class_token(cls) for cls in self.transform_classes),
-                tuple(_class_token(cls) for cls in self.detector_classes),
-                tuple(sorted(self.fixable_rule_ids)),
                 self.max_passes,
                 self.report_unfixable,
             )
         )
 
     def build(self) -> object:
-        from repro.analyzer.engine import Analyzer
-        from repro.optimizer.rewriter import Optimizer, unfixable_detectors
+        from repro.optimizer.rewriter import Optimizer
 
-        optimizer = Optimizer(
+        return Optimizer(
             transforms=self.transform_classes,
             max_passes=self.max_passes,
-            report_unfixable=False,
+            report_unfixable=self.report_unfixable,
         )
-        analyzer = (
-            Analyzer(
-                rules=unfixable_detectors(
-                    self.detector_classes, self.fixable_rule_ids
-                )
-            )
-            if self.report_unfixable
-            else None
-        )
-        return (optimizer, analyzer)
 
     def run(self, processor, path: str, source: str) -> dict:
-        optimizer, analyzer = processor
         try:
-            result = optimizer.optimize_source(source, filename=path)
+            result = processor.optimize_source(source, filename=path)
         except SyntaxError:
             return {"error": "syntax"}
-        unfixable: list = []
-        if analyzer is not None:
-            unfixable = [
-                encode_finding_compact(f)
-                for f in analyzer.analyze_source(result.optimized, filename=path)
-            ]
         return {
             "original": result.original,
             "optimized": result.optimized,
             "changes": [dataclasses.asdict(change) for change in result.changes],
-            "unfixable": unfixable,
+            "unfixable": [encode_finding_compact(f) for f in result.unfixable],
         }
 
     def decode(self, path: str, payload: dict) -> "OptimizationResult | None":

@@ -15,39 +15,9 @@ from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.analyzer import Analyzer
-from tests.strategies import parseable_soup
-
-#: Snippets that trip different rules via different trigger substrings,
-#: so generated programs exercise many distinct pre-filter masks.
-_SNIPPETS = (
-    "    acc = ''\n    for i in range(n):\n        acc += str(i)\n",
-    "    hits = 0\n    for i in range(n):\n"
-    "        if i % 8 == 0:\n            hits += 1\n",
-    "    flips = 0\n    for i in range(n):\n"
-    "        step = 1 if i % 3 else 2\n        flips += step\n",
-    "    out = [0] * n\n    for i in range(len(out)):\n"
-    "        out[i] = i\n",
-    "    total = 0\n    for i in range(n):\n        total += i * KF\n",
-    "    vals = []\n    for i in range(n):\n        vals.append(i)\n",
-    "    pass\n",
-)
-
-
-@st.composite
-def mixed_program(draw):
-    """A module mixing trigger-rich function bodies with benign code."""
-    bodies = draw(
-        st.lists(st.sampled_from(_SNIPPETS), min_size=1, max_size=4)
-    )
-    parts = ["KF = 3\n"]
-    for index, body in enumerate(bodies):
-        parts.append(f"def fn_{index}(n):\n{body}")
-    if draw(st.booleans()):
-        parts.append("CONSTANT = 'just text'\n")
-    return "\n".join(parts)
+from tests.strategies import mixed_program, parseable_soup
 
 
 def _as_bytes(findings) -> bytes:

@@ -1,12 +1,12 @@
-"""Transforms skip work no rewrite can use, without changing output.
+"""The optimizer's pass loop keeps its work to what the findings need.
 
-* The re.compile hoist builds a semantic model only when a loop body
-  holds a syntactic candidate (and still builds it before any rewrite).
-* A transform that records no change leaves the tree untouched,
-  attributes included, and skips the whole-tree location fix-up; one
-  that records changes leaves a tree ``compile()`` accepts.
-* The range(len()) rewrite's whole-tree scans run only when a matching
-  loop exists; nested loops that start to match mid-rewrite still do.
+* Each pass builds exactly one semantic model (in its analysis) and no
+  transform builds one; the re.compile hoist reads the pass's model.
+* A fix that records no change leaves the tree untouched, attributes
+  included; one that records a change leaves a tree ``compile()``
+  accepts, and no fix re-locates the whole tree.
+* Rewrites that only match after another rewrite (nested ``range(len())``
+  loops) happen in the next pass.
 """
 
 from __future__ import annotations
@@ -16,11 +16,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.analyzer.engine import Analyzer
 from repro.optimizer.rewriter import Optimizer
-from repro.optimizer.transforms import t_object_hoist
 from repro.optimizer.transforms.t_object_hoist import RecompileHoistTransform
 from repro.optimizer.transforms.t_range_len import RangeLenToEnumerate
 from repro.rules import REGISTRY
+from repro.semantics import model as semantics_model
 
 ROOT = Path(__file__).resolve().parents[2]
 CORPUS = sorted((ROOT / "tests" / "analyzer" / "fixtures" / "flow").glob("*.py")) + (
@@ -71,16 +72,46 @@ def _rewrite(transform_class, source: str):
 
 @pytest.fixture
 def model_builds(monkeypatch):
-    """Count semantic-model builds made by the re.compile hoist."""
-    calls: list[ast.AST] = []
-    real = t_object_hoist.build_semantic_model
+    """Record every semantic-model build and every pass analysis, in
+    order, and fail if a transform builds a model."""
+    events: list[str] = []
+    in_fix: list[bool] = [False]
+    real_init = semantics_model.SemanticModel.__init__
+    real_analyze = Analyzer.analyze_tree
 
-    def spy(tree, *args, **kwargs):
-        calls.append(tree)
-        return real(tree, *args, **kwargs)
+    def init(self, *args, **kwargs):
+        assert not in_fix[0], "a transform built a semantic model"
+        events.append("model")
+        real_init(self, *args, **kwargs)
 
-    monkeypatch.setattr(t_object_hoist, "build_semantic_model", spy)
-    return calls
+    def analyze(self, *args, **kwargs):
+        events.append("pass")
+        return real_analyze(self, *args, **kwargs)
+
+    def spy(real):
+        def fix(self, node, ctx):
+            in_fix[0] = True
+            try:
+                return real(self, node, ctx)
+            finally:
+                in_fix[0] = False
+
+        return fix
+
+    monkeypatch.setattr(semantics_model.SemanticModel, "__init__", init)
+    monkeypatch.setattr(Analyzer, "analyze_tree", analyze)
+    for cls in REGISTRY.transform_classes():
+        monkeypatch.setattr(cls, "fix", spy(cls.fix))
+    return events
+
+
+@pytest.mark.parametrize("name", sorted(SOURCES))
+def test_one_semantic_model_per_pass(name, model_builds):
+    result = Optimizer().optimize_source(SOURCES[name], filename=name)
+    passes = model_builds.count("pass")
+    assert model_builds == ["pass", "model"] * passes
+    # A pass that changes something is followed by one that does not.
+    assert passes >= 1 + result.changed
 
 
 class TestRecompileHoistGate:
@@ -103,8 +134,10 @@ class TestRecompileHoistGate:
     )
 
     def test_no_candidate_builds_no_model(self, model_builds):
+        # The pass's analysis builds the one model; nothing is flagged,
+        # so the transform is never asked.
         result = _rewrite(RecompileHoistTransform, self.LOOPY)
-        assert model_builds == []
+        assert model_builds == ["pass", "model"]
         assert not result.changed
         assert result.optimized == self.LOOPY
 
@@ -120,7 +153,7 @@ class TestRecompileHoistGate:
             "    return hits\n"
         )
         result = _rewrite(RecompileHoistTransform, source)
-        assert len(model_builds) == 1
+        assert model_builds == ["pass", "model"]
         assert [c.transform_id for c in result.changes] == ["T_RECOMPILE_HOIST"]
         assert "    pat = re.compile('a+')\n    for line in lines:" in result.optimized
 
@@ -140,7 +173,7 @@ class TestRecompileHoistGate:
             "    return hits\n"
         )
         result = _rewrite(RecompileHoistTransform, source)
-        assert len(model_builds) == 1
+        assert model_builds == ["pass", "model"]
         assert not result.changed
         assert result.optimized == source
 
@@ -171,34 +204,37 @@ def _compile_tree(tree: ast.Module, filename: str) -> None:
 def test_unchanged_tree_is_untouched_and_changed_tree_compiles(
     name, monkeypatch
 ):
-    """Drive the pipeline to fixpoint, checking every single apply."""
-    real_fix = ast.fix_missing_locations
+    """Drive the pipeline to fixpoint, checking every single fix."""
+    real_fixup = ast.fix_missing_locations
     fixups: list[ast.AST] = []
 
-    def spy(node):
+    def fixup_spy(node):
         fixups.append(node)
-        return real_fix(node)
+        return real_fixup(node)
 
-    monkeypatch.setattr(ast, "fix_missing_locations", spy)
-    tree = ast.parse(SOURCES[name], filename=name)
-    transforms = REGISTRY.transform_classes()
-    for _pass in range(4):
-        pass_changed = False
-        for transform_class in transforms:
-            before = ast.dump(tree, include_attributes=True)
-            fixups.clear()
-            tree, changes = transform_class().apply(tree)
-            label = transform_class.__name__
-            if changes:
-                pass_changed = True
-                _compile_tree(tree, name)
-                continue
-            assert fixups == [], f"{label} fixed locations without a change"
-            assert ast.dump(tree, include_attributes=True) == before, (
-                f"{label} mutated the tree without recording a change"
+    def spy(real):
+        def fix(self, node, ctx):
+            before = ast.dump(ctx.tree, include_attributes=True)
+            change = real(self, node, ctx)
+            label = type(self).__name__
+            if change is not None:
+                _compile_tree(ctx.tree, name)
+            else:
+                assert ast.dump(ctx.tree, include_attributes=True) == before, (
+                    f"{label} mutated the tree without recording a change"
+                )
+            assert not any(isinstance(n, ast.Module) for n in fixups), (
+                f"{label} re-located the whole tree"
             )
-        if not pass_changed:
-            break
+            return change
+
+        return fix
+
+    monkeypatch.setattr(ast, "fix_missing_locations", fixup_spy)
+    for cls in REGISTRY.transform_classes():
+        monkeypatch.setattr(cls, "fix", spy(cls.fix))
+    result = Optimizer().optimize_source(SOURCES[name], filename=name)
+    compile(result.optimized, name, "exec")
 
 
 def test_every_transform_fires_on_the_sources():
@@ -215,7 +251,8 @@ def test_every_transform_fires_on_the_sources():
 class TestRangeLenPins:
     def test_nested_loop_matching_only_after_the_outer_rewrite(self):
         # ``range(len(grid[i]))`` becomes ``range(len(grid_item))`` when
-        # the outer loop is rewritten, and the same walk then rewrites it.
+        # the outer loop is rewritten; the next pass's analysis flags
+        # it, and that pass rewrites it.
         source = (
             "def f(grid):\n"
             "    total = 0\n"
@@ -224,7 +261,9 @@ class TestRangeLenPins:
             "            total += grid[i][j]\n"
             "    return total\n"
         )
-        result = _rewrite(RangeLenToEnumerate, source)
+        result = Optimizer(
+            transforms=[RangeLenToEnumerate], report_unfixable=False
+        ).optimize_source(source)
         assert result.optimized == (
             "def f(grid):\n"
             "    total = 0\n"

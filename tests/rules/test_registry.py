@@ -151,8 +151,8 @@ class TestValidation:
             transform_id = "T_ORPHAN"
             rule_id = "X99_NOBODY"
 
-            def apply(self, tree):
-                return tree, []
+            def fix(self, node, ctx):
+                return None
 
         with pytest.raises(RegistryError, match="no detector owns it"):
             RuleRegistry([_make_spec(transform=OrphanTransform)])
@@ -223,25 +223,16 @@ class SpamSleepRule(Rule):
 
 
 class SpamSleepTransform(Transform):
-    """Renames ``busy_wait`` calls to ``wait_for_event``."""
+    """Renames each flagged ``busy_wait`` call to ``wait_for_event``."""
 
     transform_id = "T_BUSY_WAIT"
     rule_id = "X50_BUSY_WAIT"
     application_order = 45
 
-    def apply(self, tree):
-        changes = []
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "busy_wait"
-            ):
-                node.func.id = "wait_for_event"
-                changes.append(
-                    self._change(node, "busy_wait() → wait_for_event()")
-                )
-        return tree, changes
+    def fix(self, node, ctx):
+        # ``node`` is the call SpamSleepRule anchored its finding to.
+        ctx.replace(node.func, ast.Name(id="wait_for_event", ctx=ast.Load()))
+        return self._change(node, "busy_wait() → wait_for_event()")
 
 
 CUSTOM_SPEC = RuleSpec(
