@@ -104,24 +104,15 @@ class SemanticsBenchResult:
 
 
 def corpus_files(root: str | Path, cap: int | None = None) -> list[Path]:
-    """The ``.py`` files under ``root`` that actually parse, largest
-    first when ``cap`` trims the list (so ``--quick`` keeps the most
-    demanding modules rather than a directory-order accident)."""
-    from repro.sweep import DEFAULT_EXCLUDE_DIRS
+    """The ``.py`` files a sweep of ``root`` visits, largest first when
+    ``cap`` trims the list (so ``--quick`` keeps the most demanding
+    modules rather than a directory-order accident)."""
+    from repro.sweep import project_files
 
     root = Path(root)
     if root.is_file():
         return [root]
-    # Match directory names below ``root`` only: a project that itself
-    # sits under ``venv/`` or a checkout named ``.git`` is still walked.
-    files = [
-        path
-        for path in sorted(root.rglob("*.py"))
-        if not any(
-            part in DEFAULT_EXCLUDE_DIRS
-            for part in path.relative_to(root).parts[:-1]
-        )
-    ]
+    files = project_files(root)
     if cap is not None and len(files) > cap:
         files.sort(key=lambda p: p.stat().st_size, reverse=True)
         files = files[:cap]

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import networkx as nx
 
+from repro.sweep.engine import project_files
+
 
 @dataclass
 class DependencyGraph:
@@ -69,7 +71,8 @@ def build_dependency_graph(root: str | Path, package: str) -> DependencyGraph:
     graph = nx.DiGraph()
     external: dict[str, set[str]] = {}
     modules: dict[str, Path] = {}
-    for path in sorted(root.rglob("*.py")):
+    paths = project_files(root)
+    for path in paths:
         name = _module_name(path, root, package)
         modules[name] = path
         graph.add_node(name)

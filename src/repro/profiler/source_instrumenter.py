@@ -24,7 +24,7 @@ from pathlib import Path
 from repro.profiler.probes import ProbeRuntime
 from repro.profiler.records import ProfileResult
 from repro.rapl.backends import RaplBackend
-from repro.sweep.engine import DEFAULT_EXCLUDE_DIRS
+from repro.sweep.engine import project_files
 
 PROBE_NAME = "__pepo_probe__"
 
@@ -60,14 +60,11 @@ def find_main_classes(project_dir: str | Path) -> list[Path]:
     Returns paths sorted for determinism.  Unparseable files are
     skipped (a project may contain templates or broken scratch files).
     """
-    root = Path(project_dir)
+    # A stale ``__pycache__`` copy or a vendored environment is never
+    # offered as the project's entry point.
+    paths = project_files(project_dir)
     roots = []
-    for path in sorted(root.rglob("*.py")):
-        # A stale ``__pycache__`` copy or a vendored environment must
-        # never be offered as the project's entry point.
-        relative = path.relative_to(root)
-        if any(part in DEFAULT_EXCLUDE_DIRS for part in relative.parts[:-1]):
-            continue
+    for path in paths:
         try:
             tree = ast.parse(path.read_text())
         except (SyntaxError, UnicodeDecodeError):

@@ -32,7 +32,7 @@ from repro.rapl.backends import (
 )
 from repro.rapl.domains import Domain
 from repro.rapl.dvfs import DvfsModel, DvfsPoint
-from repro.rapl.model import EnergyModel, OperationCostTable
+from repro.rapl.model import EnergyModel
 from repro.rapl.msr import MsrFile, RaplCounterReader, MSR_ADDRESSES
 from repro.rapl.perf import EnergySample, PerfStat
 from repro.rapl.timeline import Timeline, TimelinePoint, TimelineSampler
@@ -49,7 +49,6 @@ __all__ = [
     "LiveBackend",
     "MsrFile",
     "MSR_ADDRESSES",
-    "OperationCostTable",
     "PerfStat",
     "RaplBackend",
     "RaplCounterReader",

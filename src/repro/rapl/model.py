@@ -11,11 +11,9 @@ improvements — the quantity the paper reports — are invariant to the
 absolute constants, which we default to values plausible for the
 paper's i5-3317U (17 W TDP ULV part).
 
-:class:`OperationCostTable` carries the per-operation relative energy
-costs the paper measured for Java components (Table I: modulus +1,620 %,
-ternary +37 %, column traversal +793 %, `static` +17,700 %, …) translated
-to the Python idioms of DESIGN.md §4.  The analyzer uses it to rank
-findings and the Table I bench uses it as the "paper" column.
+The per-rule relative costs the paper measured for Java components
+(Table I: modulus +1,620 %, ternary +37 %, …) live in the rule catalog
+(:mod:`repro.rules.builtin`), one ``overhead_percent`` per rule spec.
 """
 
 from __future__ import annotations
@@ -98,125 +96,3 @@ class EnergyModel:
             dom: self.energy_joules(dom, wall_seconds, cpu_seconds, intensity)
             for dom in self.domain_power
         }
-
-
-@dataclass(frozen=True)
-class OperationCost:
-    """Relative energy cost of one operation category.
-
-    ``baseline`` names the efficient alternative; ``overhead_percent``
-    is the paper's measured energy overhead of the inefficient form
-    relative to that baseline (Table I), e.g. 1620.0 for modulus.
-    """
-
-    operation: str
-    baseline: str
-    overhead_percent: float
-
-    @property
-    def factor(self) -> float:
-        """Multiplicative energy factor vs the baseline (1.0 = equal)."""
-        return 1.0 + self.overhead_percent / 100.0
-
-
-class OperationCostTable:
-    """Paper-reported relative costs of Java components, keyed by rule id.
-
-    The percentages come verbatim from Table I / Section VII of the
-    paper; rules the paper describes qualitatively ("consumes lesser
-    energy") carry conservative estimates and are flagged as such by
-    :meth:`is_estimated`.
-    """
-
-    _PAPER_EXACT = {
-        "R04_GLOBAL_IN_LOOP": OperationCost(
-            "module-global read in loop", "local binding", 17700.0
-        ),
-        "R05_MODULUS": OperationCost(
-            "modulus operator", "other arithmetic operator", 1620.0
-        ),
-        "R06_TERNARY": OperationCost(
-            "conditional expression", "if/else statement", 37.0
-        ),
-        "R09_STR_COMPARE": OperationCost(
-            "three-way string comparison", "equality comparison", 33.0
-        ),
-        "R11_TRAVERSAL": OperationCost(
-            "column-major 2-D traversal", "row-major 2-D traversal", 793.0
-        ),
-    }
-    _ESTIMATED = {
-        "R01_NUMERIC_TYPE": OperationCost(
-            "non-int numeric type", "built-in int", 45.0
-        ),
-        "R02_SCI_NOTATION": OperationCost(
-            "expanded decimal literal", "scientific-notation literal", 10.0
-        ),
-        "R03_BOXING": OperationCost(
-            "boxed scalar wrapper", "plain int", 120.0
-        ),
-        "R07_SHORT_CIRCUIT": OperationCost(
-            "rare case first in short-circuit", "common case first", 50.0
-        ),
-        "R08_STR_CONCAT": OperationCost(
-            "string += in loop", "list append + ''.join", 400.0
-        ),
-        "R10_ARRAY_COPY": OperationCost(
-            "element-wise copy loop", "slice / bulk copy", 300.0
-        ),
-        "R12_EXCEPTION_FLOW": OperationCost(
-            "exception as control flow", "conditional test", 250.0
-        ),
-        "R13_OBJECT_CHURN": OperationCost(
-            "object construction in loop", "hoisted/reused object", 150.0
-        ),
-    }
-
-    #: Extension rules (the paper's future work, "more suggestions").
-    _EXTENSION = {
-        "R14_APPEND_LOOP": OperationCost(
-            "append loop", "list comprehension", 60.0
-        ),
-        "R15_RANGE_LEN": OperationCost(
-            "range(len()) indexing", "direct iteration", 25.0
-        ),
-        "R16_DEAD_STORE": OperationCost(
-            "computed value never read", "deleted statement", 100.0
-        ),
-        "R17_INVARIANT_RECOMPUTE": OperationCost(
-            "loop-invariant recomputation", "hoisted expression", 120.0
-        ),
-        "R18_PURE_MEMOIZE": OperationCost(
-            "repeated pure call in hot loop", "hoisted/memoized call", 140.0
-        ),
-    }
-
-    def __init__(self) -> None:
-        self._table: dict[str, OperationCost] = {
-            **self._PAPER_EXACT,
-            **self._ESTIMATED,
-            **self._EXTENSION,
-        }
-
-    def cost(self, rule_id: str) -> OperationCost:
-        """Look up a rule's relative cost; KeyError for unknown rules."""
-        return self._table[rule_id]
-
-    def is_estimated(self, rule_id: str) -> bool:
-        """True when the paper gives no exact percentage for this rule."""
-        return rule_id in self._ESTIMATED or rule_id in self._EXTENSION
-
-    def is_extension(self, rule_id: str) -> bool:
-        """True for rules beyond the paper's Table I (future work)."""
-        return rule_id in self._EXTENSION
-
-    def rule_ids(self) -> tuple[str, ...]:
-        """Table I rule ids, paper-exact rows first (extensions excluded)."""
-        return tuple(self._PAPER_EXACT) + tuple(self._ESTIMATED)
-
-    def extension_ids(self) -> tuple[str, ...]:
-        """Extension rule ids (the paper's future-work suggestions)."""
-        return tuple(self._EXTENSION)
-
-    def __contains__(self, rule_id: object) -> bool:
-        return rule_id in self._table

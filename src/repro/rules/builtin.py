@@ -10,10 +10,10 @@ catalog through :data:`repro.rules.REGISTRY`:
 text from the same specs.
 
 The Java component/suggestion strings are the paper's Table I rows
-verbatim; the Python strings are DESIGN.md §4's translations.  Overhead
-percentages come from :class:`repro.rapl.model.OperationCostTable`
-(paper-exact where the paper gives a number, flagged estimates where it
-is qualitative).
+verbatim; the Python strings are DESIGN.md §4's translations.  Each
+spec's overhead percentage is the paper's Table I / Section VII number
+where the paper gives one (``overhead_is_estimate=False``), and a
+conservative estimate where it is only qualitative.
 
 Import discipline: this module imports detector and transform classes
 from their *individual* modules.  Importing any of those executes the
@@ -53,14 +53,12 @@ from repro.optimizer.transforms.t_str_compare import FindToInTransform
 from repro.optimizer.transforms.t_str_concat import StringBuilderTransform
 from repro.optimizer.transforms.t_ternary import TernaryToIfTransform
 from repro.optimizer.transforms.t_traversal import LoopSwapTransform
-from repro.rapl.model import OperationCostTable
 from repro.rules.registry import RuleRegistry
 from repro.rules.spec import RuleSpec
 
 
 def build_default_registry() -> RuleRegistry:
     """Assemble the shipped registry: R01–R13 plus extensions R14–R18."""
-    costs = OperationCostTable()
     micros: dict[str, MicroPair] = {
         pair.rule_id: pair for pair in builtin_micro_pairs()
     }
@@ -74,6 +72,8 @@ def build_default_registry() -> RuleRegistry:
         detector,
         transform=None,
         *,
+        overhead_percent: float,
+        overhead_is_estimate: bool,
         extension: bool = False,
     ) -> RuleSpec:
         return RuleSpec(
@@ -83,8 +83,8 @@ def build_default_registry() -> RuleRegistry:
             detector=detector,
             transform=transform,
             micro=micros.get(rule_id),
-            overhead_percent=costs.cost(rule_id).overhead_percent,
-            overhead_is_estimate=costs.is_estimated(rule_id),
+            overhead_percent=overhead_percent,
+            overhead_is_estimate=overhead_is_estimate,
             java_component=java_component,
             java_suggestion=java_suggestion,
             extension=extension,
@@ -103,6 +103,8 @@ def build_default_registry() -> RuleRegistry:
                 "Decimal/Fraction and float-typed counters where int semantics "
                 "suffice.",
                 NumericTypeRule,
+                overhead_percent=45.0,
+                overhead_is_estimate=True,
             ),
             spec(
                 "R02_SCI_NOTATION",
@@ -114,6 +116,8 @@ def build_default_registry() -> RuleRegistry:
                 "cheaper to read, parse, and review than strings of zeros.",
                 SciNotationRule,
                 SciNotationTransform,
+                overhead_percent=10.0,
+                overhead_is_estimate=True,
             ),
             spec(
                 "R03_BOXING",
@@ -125,6 +129,8 @@ def build_default_registry() -> RuleRegistry:
                 "np.int64(x)) one at a time in hot code; use plain Python "
                 "numbers or vectorize.",
                 BoxingRule,
+                overhead_percent=120.0,
+                overhead_is_estimate=True,
             ),
             spec(
                 "R04_GLOBAL_IN_LOOP",
@@ -137,6 +143,8 @@ def build_default_registry() -> RuleRegistry:
                 "before the loop.",
                 GlobalInLoopRule,
                 GlobalHoistTransform,
+                overhead_percent=17700.0,
+                overhead_is_estimate=False,
             ),
             spec(
                 "R05_MODULUS",
@@ -149,6 +157,8 @@ def build_default_registry() -> RuleRegistry:
                 "hoist or restructure.",
                 ModulusRule,
                 ModulusToBitmask,
+                overhead_percent=1620.0,
+                overhead_is_estimate=False,
             ),
             spec(
                 "R06_TERNARY",
@@ -161,6 +171,8 @@ def build_default_registry() -> RuleRegistry:
                 "hot paths.",
                 TernaryRule,
                 TernaryToIfTransform,
+                overhead_percent=37.0,
+                overhead_is_estimate=False,
             ),
             spec(
                 "R07_SHORT_CIRCUIT",
@@ -170,6 +182,8 @@ def build_default_registry() -> RuleRegistry:
                 "Order short-circuit operands so the cheap, most-common test "
                 "runs first; expensive calls belong after cheap guards.",
                 ShortCircuitRule,
+                overhead_percent=50.0,
+                overhead_is_estimate=True,
             ),
             spec(
                 "R08_STR_CONCAT",
@@ -181,6 +195,8 @@ def build_default_registry() -> RuleRegistry:
                 "each iteration; append parts to a list and ''.join once.",
                 StrConcatRule,
                 StringBuilderTransform,
+                overhead_percent=400.0,
+                overhead_is_estimate=True,
             ),
             spec(
                 "R09_STR_COMPARE",
@@ -193,6 +209,8 @@ def build_default_registry() -> RuleRegistry:
                 "direct test.",
                 StrCompareRule,
                 FindToInTransform,
+                overhead_percent=33.0,
+                overhead_is_estimate=False,
             ),
             spec(
                 "R10_ARRAY_COPY",
@@ -204,6 +222,8 @@ def build_default_registry() -> RuleRegistry:
                 "numpy.copyto) instead of an element-by-element Python loop.",
                 ArrayCopyRule,
                 ArrayCopyTransform,
+                overhead_percent=300.0,
+                overhead_is_estimate=True,
             ),
             spec(
                 "R11_TRAVERSAL",
@@ -216,6 +236,8 @@ def build_default_registry() -> RuleRegistry:
                 "arrays.",
                 TraversalRule,
                 LoopSwapTransform,
+                overhead_percent=793.0,
+                overhead_is_estimate=False,
             ),
             spec(
                 "R12_EXCEPTION_FLOW",
@@ -226,6 +248,8 @@ def build_default_registry() -> RuleRegistry:
                 "conditional test; keep try/except for exceptional cases, not "
                 "expected ones.",
                 ExceptionFlowRule,
+                overhead_percent=250.0,
+                overhead_is_estimate=True,
             ),
             spec(
                 "R13_OBJECT_CHURN",
@@ -237,6 +261,8 @@ def build_default_registry() -> RuleRegistry:
                 "and the GC.",
                 ObjectChurnRule,
                 RecompileHoistTransform,
+                overhead_percent=150.0,
+                overhead_is_estimate=True,
             ),
             spec(
                 "R14_APPEND_LOOP",
@@ -246,6 +272,8 @@ def build_default_registry() -> RuleRegistry:
                 "Replace a transforming append loop with a list comprehension; "
                 "the loop body then runs without a per-iteration method call.",
                 AppendLoopRule,
+                overhead_percent=60.0,
+                overhead_is_estimate=True,
                 extension=True,
             ),
             spec(
@@ -257,6 +285,8 @@ def build_default_registry() -> RuleRegistry:
                 "indexing through range(len(seq)).",
                 RangeLenRule,
                 RangeLenToEnumerate,
+                overhead_percent=25.0,
+                overhead_is_estimate=True,
                 extension=True,
             ),
             spec(
@@ -267,6 +297,8 @@ def build_default_registry() -> RuleRegistry:
                 "A pure value assigned but never read on any path is wasted "
                 "computation; delete the statement or use the result.",
                 DeadStoreRule,
+                overhead_percent=100.0,
+                overhead_is_estimate=True,
                 extension=True,
             ),
             spec(
@@ -277,6 +309,8 @@ def build_default_registry() -> RuleRegistry:
                 "An expression recomputed each iteration from operands that "
                 "never change inside the loop should be hoisted above it.",
                 InvariantRecomputeRule,
+                overhead_percent=120.0,
+                overhead_is_estimate=True,
                 extension=True,
             ),
             spec(
@@ -288,6 +322,8 @@ def build_default_registry() -> RuleRegistry:
                 "repeats identical work every iteration; hoist or memoize "
                 "it (functools.lru_cache).",
                 PureMemoizeRule,
+                overhead_percent=140.0,
+                overhead_is_estimate=True,
                 extension=True,
             ),
         )

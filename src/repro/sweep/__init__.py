@@ -4,12 +4,15 @@ The shared engine behind ``Analyzer.analyze_project`` and
 ``Optimizer.optimize_project`` (and therefore ``pepo suggest`` /
 ``pepo optimize`` / ``pepo check`` on directories):
 
-* :mod:`repro.sweep.engine` — walk + cache + deterministic merge
-  (parallel output is byte-identical to serial);
+* :mod:`repro.sweep.engine` — walk (:func:`project_files`, the one
+  project walker) + cache + deterministic merge (parallel output is
+  byte-identical to serial);
 * :mod:`repro.sweep.supervisor` — supervised execution: per-file
-  timeouts with a watchdog, ``BrokenProcessPool`` recovery, poison-file
-  quarantine shared by serial and parallel sweeps, and SIGINT/SIGTERM
-  journaling with byte-identical ``--resume``;
+  timeouts with a watchdog, ``BrokenProcessPool`` recovery, one
+  recovery rule for failures no single file can be blamed for,
+  poison-file quarantine shared by serial and parallel sweeps, and the
+  resume journal (SIGINT/SIGTERM journaling with byte-identical
+  ``--resume``);
 * :mod:`repro.sweep.cache` — the ``.pepo_cache/`` content-hash result
   cache, keyed by (file content, rule-registry fingerprint, options),
   with checksummed entries, auto-evict on corruption, and an advisory
@@ -32,6 +35,7 @@ from repro.sweep.engine import (
     SweepStats,
     available_cpus,
     clamp_jobs,
+    project_files,
 )
 from repro.sweep.jobs import AnalyzeJob, OptimizeJob, SweepJob
 from repro.sweep.supervisor import (
@@ -64,4 +68,5 @@ __all__ = [
     "clamp_jobs",
     "content_key",
     "payload_checksum",
+    "project_files",
 ]

@@ -1,19 +1,21 @@
 """The shared project-sweep engine.
 
 One engine serves both ``Analyzer.analyze_project`` and
-``Optimizer.optimize_project``: it walks every ``.py`` under a project,
-consults the content-hash cache, fans the remaining files out through
-the :class:`~repro.sweep.supervisor.SweepSupervisor` (a supervised
-``ProcessPoolExecutor`` for parallel sweeps, a fault-contained
-in-process loop for serial ones), and merges everything back
-**deterministically** — results are keyed and ordered exactly as the
-old serial loops ordered them, so parallel output is byte-identical to
-serial output.
+``Optimizer.optimize_project``: it walks every ``.py`` under a project
+(:func:`project_files`), hashes each file, serves content-hash cache
+hits, hands the misses to the
+:class:`~repro.sweep.supervisor.SweepSupervisor`, writes the payloads
+it returns back to the cache, and merges everything **deterministically**
+— results are keyed and ordered exactly as the old serial loops ordered
+them, so parallel output is byte-identical to serial output.
 
 Division of labor per file:
 
 * parent process — reads bytes once, decodes UTF-8, computes the cache
   key, serves hits, writes back misses;
+* supervisor — decides how many workers to run, runs the misses
+  (serially in-process, or through a supervised
+  ``ProcessPoolExecutor``), and owns the resume journal;
 * worker process — rebuilds the analyzer/optimizer from the picklable
   :class:`~repro.sweep.jobs.SweepJob` in its initializer (rule classes
   travel by reference), then turns ``(path, source)`` work items into
@@ -35,7 +37,6 @@ Never a crashed sweep.
 from __future__ import annotations
 
 import os
-import pickle
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fnmatch import fnmatch
@@ -46,7 +47,6 @@ from repro.sweep.cache import SweepCache, content_key
 from repro.sweep.jobs import SweepJob
 from repro.sweep.supervisor import (
     QUARANTINED,
-    QuarantineEntry,
     QuarantineReport,
     SweepJournal,
     SweepOptions,
@@ -75,6 +75,38 @@ DEFAULT_EXCLUDE_DIRS = frozenset(
         "node_modules",
     }
 )
+
+
+def project_files(root: str | Path, exclude: Sequence[str] = ()) -> list[Path]:
+    """Every ``.py`` file under ``root``, sorted, that a sweep visits.
+
+    Files below a :data:`DEFAULT_EXCLUDE_DIRS` directory are skipped;
+    only directories below ``root`` count, so a project that itself
+    sits under ``venv/`` is still walked.  Each ``exclude`` glob
+    (fnmatch) is matched against the root-relative posix path, against
+    that path as a directory prefix, and against every single path
+    component, so ``build`` prunes any ``build/`` directory,
+    ``repro/unopt`` prunes that subtree, and ``*_pb2.py`` prunes
+    generated modules anywhere.
+    """
+    root = Path(root)
+
+    def excluded(path: Path) -> bool:
+        relative = path.relative_to(root)
+        parts = relative.parts
+        if any(part in DEFAULT_EXCLUDE_DIRS for part in parts[:-1]):
+            return True
+        rel_posix = relative.as_posix()
+        return any(
+            fnmatch(rel_posix, pattern)
+            # A pattern naming a directory prunes its whole subtree.
+            or fnmatch(rel_posix, pattern.rstrip("/") + "/*")
+            or any(fnmatch(part, pattern) for part in parts)
+            for pattern in exclude
+        )
+
+    return sorted(path for path in root.rglob("*.py") if not excluded(path))
+
 
 #: On-disk name of the per-kind resume journal under the cache root.
 JOURNAL_NAME = "{kind}-journal.json"
@@ -127,13 +159,8 @@ class SweepEngine:
     cache_dir:
         Cache root override; default is ``<project>/.pepo_cache``.
     exclude:
-        Extra glob patterns (fnmatch) skipped on top of
-        :data:`DEFAULT_EXCLUDE_DIRS`; each pattern is matched against
-        the project-relative posix path, against that path as a
-        directory prefix, and against every single path component, so
-        ``build`` prunes any ``build/`` directory, ``repro/unopt``
-        prunes that subtree, and ``*_pb2.py`` prunes generated modules
-        anywhere.
+        Extra glob patterns skipped on top of
+        :data:`DEFAULT_EXCLUDE_DIRS` (see :func:`project_files`).
     options:
         Supervision knobs (per-file timeout, retry budget, worker
         recycling, resume, fault injection); see
@@ -164,59 +191,19 @@ class SweepEngine:
         #: in-process supervisor loop directly.
         self.last_profile = None
 
-    def _excluded(self, path: Path, root: Path) -> bool:
-        try:
-            relative = path.relative_to(root)
-        except ValueError:
-            relative = path
-        parts = relative.parts
-        if any(part in DEFAULT_EXCLUDE_DIRS for part in parts[:-1]):
-            return True
-        if not self._exclude:
-            return False
-        rel_posix = relative.as_posix()
-        return any(
-            fnmatch(rel_posix, pattern)
-            # A pattern naming a directory prunes its whole subtree.
-            or fnmatch(rel_posix, pattern.rstrip("/") + "/*")
-            or any(fnmatch(part, pattern) for part in parts)
-            for pattern in self._exclude
-        )
-
     def run(self, project_dir: str | Path, job: SweepJob) -> dict[str, object]:
         """Sweep every ``.py`` under ``project_dir`` through ``job``."""
-        root = Path(project_dir)
-        options = self._options
-        paths = sorted(
-            path
-            for path in root.rglob("*.py")
-            if not self._excluded(path, root)
-        )
-        cache = (
-            SweepCache.for_project(project_dir, self._cache_dir)
-            if self._cache_enabled
-            else None
-        )
+        paths = project_files(project_dir, self._exclude)
         # Journal and quarantine report live under the cache root even
         # when result caching is off — they are sweep state, not cached
         # results, and ``--resume`` must work either way.
-        state_root = (
-            cache.root
-            if cache is not None
-            else SweepCache.for_project(project_dir, self._cache_dir).root
-        )
+        state = SweepCache.for_project(project_dir, self._cache_dir)
+        cache = state if self._cache_enabled else None
         fingerprint = job.fingerprint()
-        journal_path = state_root / JOURNAL_NAME.format(kind=job.kind)
-        journal_entries: dict[str, dict] = {}
-        if options.resume:
-            journal_entries = SweepJournal(journal_path, fingerprint).entries()
-
-        quarantine = QuarantineReport()
         results: dict[str, object] = {}
-        pending: list[tuple[str, str, str]] = []  # path, source, key
+        misses: list[tuple[str, str, str]] = []  # path, source, key
         hits = 0
         io_errors = 0
-        resumed = 0
         # Concurrent sweeps of one tree share the cache under a shared
         # lock; ``clear()`` takes it exclusively, so a sweep can never
         # have the tree deleted out from under its writes.
@@ -238,35 +225,23 @@ class SweepEngine:
                         hits += 1
                         results[name] = job.decode(name, payload)
                         continue
-                if key in journal_entries:
-                    payload = journal_entries[key]
-                    resumed += 1
-                    if payload.get("error") == QUARANTINED:
-                        quarantine.entries.append(
-                            QuarantineEntry(
-                                path=name,
-                                reason=str(payload.get("reason", "error")),
-                                failures=int(payload.get("failures", 0)),
-                                detail=str(payload.get("detail", "")),
-                            )
-                        )
-                    elif cache is not None:
-                        # Parity with an uninterrupted cached sweep.
-                        cache.put(job.kind, key, payload)
-                    results[name] = job.decode(name, payload)
-                    continue
-                pending.append((name, source, key))
+                misses.append((name, source, key))
 
-            effective_jobs, fallback = self._effective_jobs(len(pending), job)
             supervisor = SweepSupervisor(
                 job,
-                workers=effective_jobs,
-                options=options,
-                journal_path=journal_path,
-                journal_seed=journal_entries,
+                workers=self._jobs or 1,
+                options=self._options,
+                journal=SweepJournal(
+                    state.root / JOURNAL_NAME.format(kind=job.kind), fingerprint
+                ),
             )
-            payloads = self._run_supervisor(supervisor, pending, effective_jobs)
-            for (name, _source, key), payload in zip(pending, payloads):
+            try:
+                payloads = supervisor.run(misses)
+            finally:
+                self.last_profile = supervisor.profile
+            for (name, _source, key), payload in zip(misses, payloads):
+                # Quarantine payloads are never cached: a crash is
+                # environment-dependent and the next sweep must retry.
                 if payload.get("error") == QUARANTINED:
                     results[name] = job.decode(name, payload)
                     continue
@@ -275,24 +250,33 @@ class SweepEngine:
                     self._inject_cache_fault(cache, job.kind, key, name)
                 results[name] = job.decode(name, payload)
 
-        quarantine.entries.extend(supervisor.quarantine.entries)
-        quarantine = quarantine.sorted()
-        self._persist_sweep_state(state_root, journal_path, quarantine)
+        # A completed sweep (re)writes the quarantine report: ``pepo
+        # cache stats`` lists it, and a stale report from an earlier
+        # sweep never outlives a clean run.
+        quarantine = supervisor.quarantine.sorted()
+        quarantine_path = state.root / QUARANTINE_NAME
+        if quarantine:
+            quarantine.save(quarantine_path)
+        else:
+            try:
+                quarantine_path.unlink()
+            except OSError:
+                pass
 
         self.last_quarantine = quarantine
         self.last_stats = SweepStats(
             files=len(paths),
             cache_hits=hits,
-            cache_misses=len(pending),
+            cache_misses=len(misses) - supervisor.resumed,
             io_errors=io_errors,
-            jobs=effective_jobs,
+            jobs=supervisor.workers,
             quarantined=len(quarantine),
             retries=supervisor.retries,
             pool_restarts=supervisor.pool_restarts,
             timeouts=supervisor.timeouts,
-            resumed=resumed,
+            resumed=supervisor.resumed,
             cache_evictions=cache.evictions if cache is not None else 0,
-            serial_fallback=fallback,
+            serial_fallback=supervisor.serial_fallback,
         )
         # Merge in the exact order the serial loops used (sorted Path
         # order), dropping entries the job declined (decode -> None).
@@ -301,51 +285,6 @@ class SweepEngine:
             for path in paths
             if results.get(str(path)) is not None
         }
-
-    def _run_supervisor(
-        self,
-        supervisor: SweepSupervisor,
-        pending: list[tuple[str, str, str]],
-        effective_jobs: int,
-    ) -> list[dict]:
-        """Run the supervisor, self-profiling the sweep when asked.
-
-        Parallel sweeps arm the ``PEPO_TRACE`` env hook around the pool
-        (the worker initializer calls ``maybe_bootstrap()``, so every
-        worker profiles itself and spools records back); serial sweeps
-        trace the in-process loop with a thread-following tracer.
-        Profiles are collected even when the sweep is interrupted.
-        """
-        self.last_profile = None
-        if not self._options.self_profile:
-            return supervisor.run(pending)
-        import repro
-        from repro.profiler.subproc import capture_subprocesses
-
-        include = (str(Path(repro.__file__).resolve().parent),)
-        if effective_jobs > 1:
-            capture = capture_subprocesses(include=include)
-            try:
-                with capture:
-                    payloads = supervisor.run(pending)
-            finally:
-                # Interrupted sweeps keep whatever the workers spooled.
-                self.last_profile = capture.result
-            return payloads
-
-        from repro.profiler.tracer import EnergyTracer
-
-        tracer = EnergyTracer(
-            include=include,
-            follow_threads=True,
-            estimate_overhead=False,
-        )
-        try:
-            with tracer:
-                payloads = supervisor.run(pending)
-        finally:
-            self.last_profile = tracer.result
-        return payloads
 
     def _inject_cache_fault(
         self, cache: SweepCache, kind: str, key: str, name: str
@@ -359,50 +298,6 @@ class SweepEngine:
             from repro.resilience.faults import corrupt_cache_entry
 
             corrupt_cache_entry(cache.entry_path(kind, key), fault)
-
-    @staticmethod
-    def _persist_sweep_state(
-        state_root: Path, journal_path: Path, quarantine: QuarantineReport
-    ) -> None:
-        """A *completed* sweep clears its journal and (re)writes the
-        quarantine report — ``pepo cache stats`` lists it, and a stale
-        report from an earlier sweep never outlives a clean run."""
-        try:
-            journal_path.unlink()
-        except OSError:
-            pass
-        quarantine_path = state_root / QUARANTINE_NAME
-        if quarantine:
-            quarantine.save(quarantine_path)
-        else:
-            try:
-                quarantine_path.unlink()
-            except OSError:
-                pass
-
-    # -- execution strategies ---------------------------------------------
-
-    def _effective_jobs(
-        self, pending_count: int, job: SweepJob
-    ) -> tuple[int, str | None]:
-        # ``jobs`` is taken at face value (no cpu_count clamp): on a
-        # 1-core box ``--jobs 2`` must still exercise the pool so
-        # parallel behavior is testable everywhere; oversubscription
-        # is the caller's call.  Never more workers than files, though.
-        jobs = self._jobs or 1
-        if jobs > 1:
-            jobs = min(jobs, max(pending_count, 1))
-        if jobs > 1 and not _is_picklable(job):
-            # Rule classes defined in closures cannot cross the process
-            # boundary; degrade to a serial sweep instead of crashing —
-            # and say so, via SweepStats.serial_fallback, instead of
-            # degrading silently.
-            return 1, (
-                "sweep job is not picklable (rule/transform classes "
-                "defined in closures cannot cross the process boundary); "
-                "ran serially instead"
-            )
-        return jobs, None
 
 
 def available_cpus() -> int:
@@ -423,7 +318,7 @@ def clamp_jobs(jobs: int | None) -> int:
 
     Deliberate split of responsibility: :class:`SweepEngine` takes
     ``jobs`` at face value (so tests can exercise the pool on any box,
-    see :meth:`SweepEngine._effective_jobs`), while callers answering
+    see ``SweepSupervisor._choose_workers``), while callers answering
     to a human — the CLI commands and ``pepo bench sweep`` — route the
     flag through here first, because workers beyond the machine's
     cores buy only process overhead.  ``--jobs 4`` means *up to* 4.
@@ -432,10 +327,3 @@ def clamp_jobs(jobs: int | None) -> int:
         return 1
     return min(jobs, available_cpus())
 
-
-def _is_picklable(job: SweepJob) -> bool:
-    try:
-        pickle.dumps(job)
-        return True
-    except Exception:
-        return False

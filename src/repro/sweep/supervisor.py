@@ -2,55 +2,63 @@
 
 :class:`SweepSupervisor` runs a sweep's files to completion and treats
 each *file* as the unit of failure.  Serial and parallel sweeps share
-one per-file executor (:func:`_run_items`, which turns any exception
-into an inline failure marker) and one strike/requeue routine
-(``SweepSupervisor._dispatch_failure``), so both quarantine the same
-files for the same reasons after the same number of strikes:
+one per-file executor (:func:`_run_file`, which turns any exception
+into an inline failure marker) and one recovery rule, so both
+quarantine the same files for the same reasons after the same number
+of strikes:
 
-* **poison quarantine** — a file that fails more than
-  ``SweepOptions.max_retries`` times (crash, hang, ``MemoryError``,
-  ``RecursionError``, or any analyzer exception) is quarantined: the
-  sweep completes, the file degrades per the job's policy (empty
-  findings / skipped entry), and the quarantine report records the
-  path, reason, and strike count;
-* **watchdog** — every in-flight chunk carries a wall-clock deadline
-  (the per-file budget times the chunk length).  A parallel overrun
-  kills and recycles the worker pool: a single-file chunk is charged a
-  ``hang`` strike, a multi-file chunk reruns its files one per chunk
-  without strikes so the next overrun names its culprit, and
-  collateral in-flight files are resubmitted unharmed.  Serial sweeps
-  cannot preempt an in-process stall, so they detect the overrun after
-  the fact and discard the late result;
-* **crash recovery** — a ``BrokenProcessPool`` restarts the pool with
-  exponential backoff (:data:`DEFAULT_SWEEP_POLICY`).  When exactly one
-  file was in flight the crash is charged to it; when several were,
-  none is charged and all are retried **in isolation** (one at a time)
-  so the next crash is unambiguous.  Serial sweeps see the
-  :class:`~repro.resilience.faults.InjectedWorkerCrash` stand-in
-  through the executor instead;
-* **graceful interrupt** — SIGINT/SIGTERM (or the deterministic
-  ``SweepFaultPlan.interrupt_after_files`` test hook) stops submission,
-  kills the pool, flushes every completed payload to an atomic journal
-  (:class:`~repro.resilience.checkpoint.CheckpointStore` idiom), and
-  raises :class:`SweepInterrupted`; a later ``--resume`` sweep replays
-  the journal and produces output byte-identical to an uninterrupted
-  run.
+* **a failure that names one file is its strike** — an inline marker
+  (``MemoryError``, ``RecursionError``, any analyzer exception), a
+  crash or watchdog overrun with only that file in flight, or a
+  failed single-file chunk.  A file that fails more than
+  ``SweepOptions.max_retries`` times is quarantined: the sweep
+  completes, the file degrades per the job's policy (empty findings /
+  skipped entry), and the quarantine report records the path, reason,
+  and strike count;
+* **a failure that names no single file charges nobody** — a pool
+  crash with several files in flight, an overrun of a multi-file
+  chunk, an exception or malformed reply for a multi-file chunk.
+  Every file involved becomes a *suspect*; so does every struck file
+  awaiting its retry.  A suspect re-runs alone with nothing else in
+  flight, so its next failure names it.
 
-Parallel sweeps dispatch files in **chunks**, sized from the pending-file
-and worker counts (``SweepSupervisor._pick_chunk_size``), to amortize
-submit/pickle/collect overhead on cold sweeps; serial sweeps run one
-file at a time in-process.
+Crash and overrun alike recycle the worker pool through one routine
+(SIGKILL, exponential backoff per :data:`DEFAULT_SWEEP_POLICY`, fresh
+pool).  Every in-flight chunk carries a wall-clock deadline (the
+per-file budget times the chunk length); files in flight beside an
+overrun chunk are resubmitted unharmed.  Serial sweeps cannot preempt
+an in-process stall, so they detect the overrun after the fact and
+discard the late result; they see the
+:class:`~repro.resilience.faults.InjectedWorkerCrash` stand-in through
+the executor instead of a dead worker.
+
+The supervisor is the one owner of the resume journal
+(:class:`SweepJournal`): with ``SweepOptions.resume`` it serves
+journaled payloads (rebuilding their quarantine entries) instead of
+re-running those files; SIGINT/SIGTERM (or the deterministic
+``SweepFaultPlan.interrupt_after_files`` test hook) stops submission,
+kills the pool, writes every completed payload to the journal
+atomically and raises :class:`SweepInterrupted`; a sweep that completes
+deletes the journal.  A resumed sweep's output is byte-identical to an
+uninterrupted one.
+
+Parallel sweeps dispatch queued files in **chunks**, sized from the
+pending-file and worker counts (``SweepSupervisor._pick_chunk_size``),
+to amortize submit/pickle/collect overhead on cold sweeps; serial
+sweeps run one file at a time in-process.
 """
 
 from __future__ import annotations
 
+import pickle
 import signal
 import threading
 import time
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from repro.resilience.checkpoint import CheckpointStore
 from repro.resilience.faults import (
@@ -250,26 +258,25 @@ class SweepJournal:
     A :class:`~repro.resilience.checkpoint.CheckpointStore` fingerprinted
     with the sweep job's fingerprint: resuming after the rule set or
     options changed discards the journal (with a warning) instead of
-    splicing incompatible payloads into the merge.
+    splicing incompatible payloads into the merge.  The file is read
+    and written only when asked, never on construction.
     """
 
     def __init__(self, path: str | Path, fingerprint: str) -> None:
-        self._store = CheckpointStore(
-            path, meta={"kind": "sweep-journal", "fingerprint": fingerprint}
-        )
-
-    @property
-    def path(self) -> Path:
-        return self._store.path
+        self.path = Path(path)
+        self._meta = {"kind": "sweep-journal", "fingerprint": fingerprint}
 
     def entries(self) -> dict[str, dict]:
-        return {key: value for key, value in self._store.items()}
+        return dict(CheckpointStore(self.path, meta=self._meta).items())
 
     def write(self, entries: Mapping[str, dict]) -> None:
-        self._store.put_many(dict(entries))
+        CheckpointStore(self.path, meta=self._meta).put_many(dict(entries))
 
     def clear(self) -> None:
-        self._store.clear()
+        try:
+            self.path.unlink()
+        except OSError:
+            pass
 
 
 def _poison_reason(error: BaseException) -> str:
@@ -297,6 +304,17 @@ def quarantine_payload(entry: QuarantineEntry) -> dict:
     }
 
 
+def quarantine_entry(path: str, payload: dict) -> QuarantineEntry:
+    """The quarantine entry a journaled quarantine payload came from
+    (the inverse of :func:`quarantine_payload`)."""
+    return QuarantineEntry(
+        path=path,
+        reason=str(payload.get("reason", "error")),
+        failures=int(payload.get("failures", 0)),
+        detail=str(payload.get("detail", "")),
+    )
+
+
 #: Payload key that reports one file's failure inline:
 #: ``{_CHUNK_FAILURE_KEY: [reason, detail]}``.  Catching per file keeps
 #: one poisonous file from discarding its chunk-mates' finished work,
@@ -317,6 +335,15 @@ def _run_file(
     source: str,
     in_worker: bool,
 ) -> dict:
+    """Run one file through ``job``.
+
+    Any exception — ``MemoryError``, ``RecursionError`` and
+    :class:`~repro.resilience.faults.InjectedWorkerCrash` included —
+    becomes the file's inline failure marker.  A crash fault in a
+    worker (``in_worker=True``) still kills the whole process
+    (``os._exit`` cannot be caught); the parent sees
+    ``BrokenProcessPool`` instead.
+    """
     try:
         if faults is not None:
             apply_worker_fault(faults, path, in_worker=in_worker)
@@ -325,28 +352,6 @@ def _run_file(
         return _failure(
             _poison_reason(error), f"{type(error).__name__}: {error}"
         )
-
-
-def _run_items(
-    job: "SweepJob",
-    processor: object,
-    faults: SweepFaultPlan | None,
-    items: list[tuple[str, str]],
-    in_worker: bool,
-) -> list[dict]:
-    """Run ``(path, source)`` items through ``job``, one payload each.
-
-    Any exception — ``MemoryError``, ``RecursionError`` and
-    :class:`~repro.resilience.faults.InjectedWorkerCrash` included —
-    becomes that file's inline failure marker.  A crash fault in a
-    worker (``in_worker=True``) still kills the whole process
-    (``os._exit`` cannot be caught); the parent sees
-    ``BrokenProcessPool`` and attributes it instead.
-    """
-    return [
-        _run_file(job, processor, faults, path, source, in_worker)
-        for path, source in items
-    ]
 
 
 # -- worker-process entry points ------------------------------------------
@@ -383,9 +388,25 @@ def _worker_init(job: "SweepJob", faults: SweepFaultPlan | None = None) -> None:
 
 def _worker_run_chunk(items: list[tuple[str, str]]) -> list[dict]:
     assert _WORKER_JOB is not None
-    return _run_items(
-        _WORKER_JOB, _WORKER_PROCESSOR, _WORKER_FAULTS, items, in_worker=True
-    )
+    return [
+        _run_file(
+            _WORKER_JOB,
+            _WORKER_PROCESSOR,
+            _WORKER_FAULTS,
+            path,
+            source,
+            in_worker=True,
+        )
+        for path, source in items
+    ]
+
+
+def _is_picklable(job: "SweepJob") -> bool:
+    try:
+        pickle.dumps(job)
+        return True
+    except Exception:
+        return False
 
 
 @dataclass
@@ -397,10 +418,6 @@ class _Item:
     source: str
     key: str
     failures: int = 0
-    #: Set when this file must be dispatched in a chunk of its own —
-    #: a survivor of an ambiguous multi-file chunk failure, retried
-    #: alone so the next failure is attributable to one file.
-    solo: bool = False
 
 
 class SweepSupervisor:
@@ -409,7 +426,11 @@ class SweepSupervisor:
     ``run`` takes ``(path, source, key)`` triples and returns one
     payload per item, in submission order.  Never raises for per-file
     failures — those quarantine — only for interrupts
-    (:class:`SweepInterrupted`, after journaling).
+    (:class:`SweepInterrupted`, after journaling).  ``workers`` is the
+    requested worker count: ``run`` never starts more workers than it
+    has files to run, and falls back to a serial sweep (saying why in
+    :attr:`serial_fallback`) when the job cannot be pickled.  One
+    supervisor runs one sweep.
     """
 
     def __init__(
@@ -417,62 +438,135 @@ class SweepSupervisor:
         job: "SweepJob",
         workers: int,
         options: SweepOptions | None = None,
-        *,
-        journal_path: str | Path | None = None,
-        journal_seed: Mapping[str, dict] | None = None,
+        journal: SweepJournal | None = None,
     ) -> None:
         self.job = job
         self.workers = max(1, workers)
         self.options = options or SweepOptions()
+        self.journal = journal
         self.quarantine = QuarantineReport()
         self.retries = 0
         self.pool_restarts = 0
         self.timeouts = 0
-        self._journal_path = Path(journal_path) if journal_path else None
-        self._journal_seed = dict(journal_seed or {})
+        self.resumed = 0
+        self.serial_fallback: str | None = None
+        #: The sweep's self-profile when ``SweepOptions.self_profile``.
+        self.profile = None
+        # Run state.
+        self._results: list = []
+        self._queue: deque[_Item] = deque()
+        #: Files that must run alone: every file of a failure that named
+        #: no single file, and every struck file awaiting its retry.
+        self._suspects: deque[_Item] = deque()
+        #: future -> (chunk items, watchdog deadline)
+        self._in_flight: dict = {}
+        self._pool: "ProcessPoolExecutor | None" = None
+        self._chunk_size = 1
+        self._journaled: dict[str, dict] = {}
         self._completed: dict[str, dict] = {}
         self._total = 0
         self._interrupted = False
-        self._old_handlers: dict[int, object] = {}
 
     # -- public entry ---------------------------------------------------
 
     def run(self, items: Iterable[tuple[str, str, str]]) -> list[dict]:
-        wrapped = [
+        if self.journal is not None and self.options.resume:
+            self._journaled = self.journal.entries()
+        items = list(items)
+        self._results = [self._journaled.get(key) for _, _, key in items]
+        self._queue.extend(
             _Item(index, path, source, key)
             for index, (path, source, key) in enumerate(items)
-        ]
-        self._total = len(wrapped)
-        if not wrapped:
-            return []
-        self._install_signal_handlers()
+            if self._results[index] is None
+        )
+        self.resumed = len(items) - len(self._queue)
+        self.quarantine.entries.extend(
+            quarantine_entry(path, payload)
+            for (path, _, _), payload in zip(items, self._results)
+            if payload is not None and payload.get("error") == QUARANTINED
+        )
+        self._total = len(self._queue)
+        self._choose_workers()
+        with self._self_profile(), self._signal_handlers():
+            if self.workers > 1:
+                self._run_parallel()
+            elif self._queue:
+                self._run_serial()
+        if self.journal is not None:
+            self.journal.clear()
+        return self._results
+
+    def _choose_workers(self) -> None:
+        # ``workers`` is taken at face value (no cpu_count clamp): on a
+        # 1-core box ``--jobs 2`` must still exercise the pool so
+        # parallel behavior is testable everywhere; oversubscription is
+        # the caller's call.  Never more workers than files, though.
+        self.workers = min(self.workers, max(len(self._queue), 1))
+        if self.workers > 1 and not _is_picklable(self.job):
+            # Rule classes defined in closures cannot cross the process
+            # boundary; degrade to a serial sweep instead of crashing,
+            # and say so instead of degrading silently.
+            self.workers = 1
+            self.serial_fallback = (
+                "sweep job is not picklable (rule/transform classes "
+                "defined in closures cannot cross the process boundary); "
+                "ran serially instead"
+            )
+
+    @contextmanager
+    def _self_profile(self) -> Iterator[None]:
+        """Profile the sweep into :attr:`profile` when asked.
+
+        Parallel sweeps arm the ``PEPO_TRACE`` env hook around the pool
+        (the worker initializer calls ``maybe_bootstrap()``, so every
+        worker profiles itself and spools records back); serial sweeps
+        trace the in-process loop with a thread-following tracer.  The
+        profile is kept even when the sweep is interrupted.
+        """
+        if not self.options.self_profile:
+            yield
+            return
+        import repro
+
+        include = (str(Path(repro.__file__).resolve().parent),)
+        if self.workers > 1:
+            from repro.profiler.subproc import capture_subprocesses
+
+            recorder = capture_subprocesses(include=include)
+        else:
+            from repro.profiler.tracer import EnergyTracer
+
+            recorder = EnergyTracer(
+                include=include, follow_threads=True, estimate_overhead=False
+            )
         try:
-            if self.workers <= 1:
-                return self._run_serial(wrapped)
-            return self._run_parallel(wrapped)
+            with recorder:
+                yield
         finally:
-            self._restore_signal_handlers()
+            self.profile = recorder.result
 
     # -- interrupt plumbing ---------------------------------------------
 
-    def _install_signal_handlers(self) -> None:
-        if threading.current_thread() is not threading.main_thread():
-            return
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                self._old_handlers[signum] = signal.signal(
-                    signum, self._handle_signal
-                )
-            except (ValueError, OSError):  # pragma: no cover - exotic hosts
-                pass
-
-    def _restore_signal_handlers(self) -> None:
-        for signum, handler in self._old_handlers.items():
-            try:
-                signal.signal(signum, handler)
-            except (ValueError, OSError):  # pragma: no cover
-                pass
-        self._old_handlers.clear()
+    @contextmanager
+    def _signal_handlers(self) -> Iterator[None]:
+        """Turn SIGINT/SIGTERM into the interrupt flag while sweeping."""
+        old_handlers: dict[int, object] = {}
+        if threading.current_thread() is threading.main_thread():
+            for signum in (signal.SIGINT, signal.SIGTERM):
+                try:
+                    old_handlers[signum] = signal.signal(
+                        signum, self._handle_signal
+                    )
+                except (ValueError, OSError):  # pragma: no cover - exotic hosts
+                    pass
+        try:
+            yield
+        finally:
+            for signum, handler in old_handlers.items():
+                try:
+                    signal.signal(signum, handler)
+                except (ValueError, OSError):  # pragma: no cover
+                    pass
 
     def _handle_signal(self, signum, frame) -> None:  # pragma: no cover
         self._interrupted = True
@@ -487,45 +581,36 @@ class SweepSupervisor:
             self._interrupted = True
         if not self._interrupted:
             return
-        self._flush_journal()
+        if self.journal is not None:
+            self.journal.write({**self._journaled, **self._completed})
         raise SweepInterrupted(
             f"sweep interrupted after {len(self._completed)} of "
             f"{self._total} pending file(s); completed work journaled",
-            journal_path=self._journal_path,
+            journal_path=self.journal.path if self.journal else None,
             completed=len(self._completed),
             total=self._total,
         )
 
-    def _flush_journal(self) -> None:
-        if self._journal_path is None:
-            return
-        entries = dict(self._journal_seed)
-        entries.update(self._completed)
-        journal = SweepJournal(self._journal_path, self.job.fingerprint())
-        journal.write(entries)
+    # -- the recovery rule ----------------------------------------------
 
-    # -- bookkeeping ----------------------------------------------------
-
-    def _record(self, item: _Item, payload: dict, results: list) -> None:
-        results[item.index] = payload
+    def _record(self, item: _Item, payload: dict) -> None:
+        self._results[item.index] = payload
         self._completed[item.key] = payload
 
-    def _dispatch_failure(
-        self,
-        item: _Item,
-        reason: str,
-        detail: str,
-        queue: deque,
-        isolation: deque,
-        results: list,
-    ) -> None:
+    def _fail(self, items: list[_Item], reason: str, detail: str) -> None:
+        """Route one failure: a strike when it names one file, else
+        every file involved re-runs alone, uncharged."""
+        if len(items) == 1:
+            self._dispatch_failure(items[0], reason, detail)
+        else:
+            self._suspects.extend(items)
+
+    def _dispatch_failure(self, item: _Item, reason: str, detail: str) -> None:
         """Charge one attributed failure (a strike).
 
         A file past ``max_retries`` strikes is quarantined; otherwise it
-        backs off and is requeued.  Crashers retry in ``isolation`` so
-        repeat crashes stay attributed; everything else rejoins
-        ``queue``.  Serial sweeps pass one deque as both, so every retry
-        goes to its tail.
+        backs off and waits among the suspects, so its retry runs alone
+        and a repeat failure is attributed to it again.
         """
         item.failures += 1
         if reason == "hang":
@@ -538,36 +623,21 @@ class SweepSupervisor:
                 detail=detail,
             )
             self.quarantine.entries.append(entry)
-            self._record(item, quarantine_payload(entry), results)
+            self._record(item, quarantine_payload(entry))
             return
         self.retries += 1
         time.sleep(DEFAULT_SWEEP_POLICY.backoff_delay(item.failures - 1))
-        (isolation if reason == "crash" else queue).append(item)
+        self._suspects.append(item)
 
-    def _merge_chunk(
-        self,
-        chunk: list[_Item],
-        payloads: object,
-        queue: deque,
-        isolation: deque,
-        results: list,
-    ) -> None:
-        """Fold one completed chunk reply back into the sweep.
+    def _merge(self, chunk: list[_Item], payloads: object) -> None:
+        """Fold one chunk reply back into the sweep.
 
-        Per-file failure markers take the strike path; finished
-        chunk-mates are recorded normally.  A malformed reply (wrong
-        shape/length) is treated as unattributable unless the chunk held
-        a single file.
+        Per-file failure markers are strikes; finished chunk-mates are
+        recorded.  A malformed reply (wrong shape/length) is a failure
+        of the whole chunk.
         """
         if not isinstance(payloads, list) or len(payloads) != len(chunk):
-            self._chunk_exception(
-                chunk,
-                "error",
-                "worker returned a malformed chunk reply",
-                queue,
-                isolation,
-                results,
-            )
+            self._fail(chunk, "error", "worker returned a malformed chunk reply")
             return
         for item, payload in zip(chunk, payloads):
             failure = (
@@ -576,49 +646,18 @@ class SweepSupervisor:
                 else None
             )
             if failure is not None:
-                self._dispatch_failure(
-                    item, failure[0], failure[1], queue, isolation, results
-                )
+                self._dispatch_failure(item, failure[0], failure[1])
             else:
-                self._record(item, payload, results)
-
-    def _chunk_exception(
-        self,
-        chunk: list[_Item],
-        reason: str,
-        detail: str,
-        queue: deque,
-        isolation: deque,
-        results: list,
-    ) -> None:
-        """A whole-chunk failure that is not a pool crash.
-
-        One file: attribute it (identical to per-file dispatch).  Many
-        files: the culprit is unknown, so nobody is charged a strike —
-        every file reruns in a chunk of its own, where the failure
-        repeats attributably.
-        """
-        if len(chunk) == 1:
-            self._dispatch_failure(
-                chunk[0], reason, detail, queue, isolation, results
-            )
-            return
-        for item in chunk:
-            item.solo = True
-            queue.append(item)
+                self._record(item, payload)
 
     # -- serial path ----------------------------------------------------
 
-    def _run_serial(self, items: list[_Item]) -> list[dict]:
-        results: list = [None] * len(items)
-        queue: deque[_Item] = deque(items)
+    def _run_serial(self) -> None:
         processor = self.job.build()
-        while queue:
+        while self._queue or self._suspects:
             self._check_interrupt()
-            item = queue.popleft()
-            payload = self._run_in_process(processor, item)
-            self._merge_chunk([item], [payload], queue, queue, results)
-        return results
+            item = (self._queue or self._suspects).popleft()
+            self._merge([item], [self._run_in_process(processor, item)])
 
     def _run_in_process(self, processor: object, item: _Item) -> dict:
         """One file through the shared executor, timed.
@@ -629,11 +668,12 @@ class SweepSupervisor:
         """
         timeout = self.options.timeout_seconds
         started = time.monotonic()
-        [payload] = _run_items(
+        payload = _run_file(
             self.job,
             processor,
             self.options.faults,
-            [(item.path, item.source)],
+            item.path,
+            item.source,
             in_worker=False,
         )
         elapsed = time.monotonic() - started
@@ -666,8 +706,8 @@ class SweepSupervisor:
 
         SIGKILL rather than SIGTERM: a worker stuck in C code (or one
         that somehow still holds an inherited signal handler) cannot
-        swallow it, so the watchdog's recycle is bounded by process
-        teardown, not by whatever the hung worker was doing.
+        swallow it, so a recycle is bounded by process teardown, not by
+        whatever the hung worker was doing.
         """
         for process in list((getattr(pool, "_processes", None) or {}).values()):
             try:
@@ -675,6 +715,26 @@ class SweepSupervisor:
             except Exception:  # pragma: no cover - already-dead workers
                 pass
         pool.shutdown(wait=True, cancel_futures=True)
+
+    def _crash(self, crashed: list[_Item]) -> None:
+        """A worker died: every file still in flight died with the pool,
+        so they share the failure with the files seen crashing."""
+        self._fail(
+            crashed + self._recycle_pool(),
+            "crash",
+            "worker process died while analyzing this file",
+        )
+
+    def _recycle_pool(self) -> list[_Item]:
+        """Kill the pool and start a fresh one after a backoff; return
+        the files that were in flight, all lost with the old pool."""
+        stranded = [item for chunk, _ in self._in_flight.values() for item in chunk]
+        self._in_flight.clear()
+        self.pool_restarts += 1
+        self._kill_pool(self._pool)
+        time.sleep(DEFAULT_SWEEP_POLICY.backoff_delay(min(self.pool_restarts, 8)))
+        self._pool = self._new_pool()
+        return stranded
 
     def _chunk_deadline(self, size: int) -> float | None:
         """Watchdog deadline for a chunk: the per-file budget times the
@@ -688,114 +748,58 @@ class SweepSupervisor:
 
         About four dispatch waves per worker keeps the pool
         load-balanced near the tail while amortizing per-task
-        submit/pickle overhead; the cap bounds how much work one
-        crashed or hung chunk forces into one-at-a-time retries.
+        submit/pickle overhead; the cap bounds how many files one
+        failed chunk turns into suspects.
         """
         return max(1, min(8, -(-total // (self.workers * 4))))
 
-    @staticmethod
-    def _next_chunk(queue: "deque[_Item]", chunk_size: int) -> list[_Item]:
-        chunk = [queue.popleft()]
-        if chunk[0].solo:
-            return chunk
-        while queue and len(chunk) < chunk_size and not queue[0].solo:
-            chunk.append(queue.popleft())
-        return chunk
+    def _fill(self) -> bool:
+        """Top the in-flight window up to the worker count; False when
+        the pool turned out to be broken.
 
-    def _submit(
-        self, pool: "ProcessPoolExecutor", chunk: list[_Item], in_flight: dict
-    ) -> bool:
-        """Submit one chunk; False when the pool is already broken."""
+        Keeping the window at the worker count makes a submitted future
+        a *running* future, so deadlines measure execution, not
+        queueing.  Queued files go out in chunks; a suspect goes out
+        alone, once the queue is empty and nothing else is in flight.
+        """
         from concurrent.futures.process import BrokenProcessPool
 
-        try:
-            future = pool.submit(
-                _worker_run_chunk, [(item.path, item.source) for item in chunk]
-            )
-        except BrokenProcessPool:
-            return False
-        in_flight[future] = (chunk, self._chunk_deadline(len(chunk)))
+        run_chunk = _worker_run_chunk
+        while len(self._in_flight) < self.workers:
+            if self._queue:
+                source, size = self._queue, self._chunk_size
+            elif self._suspects and not self._in_flight:
+                source, size = self._suspects, 1
+            else:
+                return True
+            chunk = [source.popleft() for _ in range(min(size, len(source)))]
+            try:
+                future = self._pool.submit(
+                    run_chunk, [(item.path, item.source) for item in chunk]
+                )
+            except BrokenProcessPool:
+                source.extendleft(reversed(chunk))
+                return False
+            self._in_flight[future] = (chunk, self._chunk_deadline(len(chunk)))
         return True
 
-    def _recover_broken_pool(
-        self,
-        pool: "ProcessPoolExecutor",
-        crashed: list[_Item],
-        in_flight: dict,
-        queue: deque,
-        isolation: deque,
-        results: list,
-    ) -> "ProcessPoolExecutor":
-        """A worker died: restart the pool (with backoff) and return it.
-
-        Everything still in flight died with the pool.  With exactly one
-        file among the dead the crash is unambiguously its strike; with
-        several, nobody is charged and all retry one at a time.
-        """
-        crashed.extend(item for chunk, _ in in_flight.values() for item in chunk)
-        in_flight.clear()
-        self.pool_restarts += 1
-        self._kill_pool(pool)
-        delay = DEFAULT_SWEEP_POLICY.backoff_delay(min(self.pool_restarts, 8))
-        if delay > 0:
-            time.sleep(delay)
-        pool = self._new_pool()
-        if len(crashed) == 1:
-            self._dispatch_failure(
-                crashed[0],
-                "crash",
-                "worker process died while analyzing this file",
-                queue,
-                isolation,
-                results,
-            )
-        else:
-            isolation.extend(crashed)
-        return pool
-
-    def _run_parallel(self, items: list[_Item]) -> list[dict]:
+    def _run_parallel(self) -> None:
         from concurrent.futures import FIRST_COMPLETED, wait
         from concurrent.futures.process import BrokenProcessPool
 
-        results: list = [None] * len(items)
-        queue: deque[_Item] = deque(items)
-        #: Crash suspects run one at a time so the next crash is
-        #: unambiguously attributable.
-        isolation: deque[_Item] = deque()
-        #: future -> (chunk items, watchdog deadline)
-        in_flight: dict = {}
-        chunk_size = self._pick_chunk_size(len(items))
+        self._chunk_size = self._pick_chunk_size(len(self._queue))
         poll_seconds = POLL_SECONDS
-        pool = self._new_pool()
+        self._pool = self._new_pool()
         try:
-            while queue or isolation or in_flight:
+            while self._queue or self._suspects or self._in_flight:
                 self._check_interrupt()
-                # Keep the in-flight window at the worker count so a
-                # submitted future is a *running* future and deadlines
-                # measure execution, not queueing.
-                broken = False
-                while queue and len(in_flight) < self.workers:
-                    chunk = self._next_chunk(queue, chunk_size)
-                    if not self._submit(pool, chunk, in_flight):
-                        # A crash from the previous round beat us to the
-                        # pool; requeue and fall into crash recovery.
-                        queue.extendleft(reversed(chunk))
-                        broken = True
-                        break
-                if not broken and not in_flight and isolation:
-                    item = isolation.popleft()
-                    if not self._submit(pool, [item], in_flight):
-                        isolation.appendleft(item)
-                        broken = True
-                if broken:
-                    pool = self._recover_broken_pool(
-                        pool, [], in_flight, queue, isolation, results
-                    )
-                    continue
-                if not in_flight:
+                if not self._fill():
+                    # A crash from the previous round beat the submit to
+                    # the pool.
+                    self._crash([])
                     continue
                 done, _ = wait(
-                    set(in_flight),
+                    set(self._in_flight),
                     timeout=poll_seconds,
                     return_when=FIRST_COMPLETED,
                 )
@@ -804,80 +808,53 @@ class SweepSupervisor:
                     # Per reply, not per round: several chunks finishing
                     # in one round must not overshoot the interrupt.
                     self._check_interrupt()
-                    chunk, _deadline = in_flight.pop(future)
+                    chunk, _deadline = self._in_flight.pop(future)
                     try:
                         payloads = future.result()
                     except BrokenProcessPool:
                         crashed.extend(chunk)
                     except Exception as error:
-                        self._chunk_exception(
+                        self._fail(
                             chunk,
                             _poison_reason(error),
                             f"{type(error).__name__}: {error}",
-                            queue,
-                            isolation,
-                            results,
                         )
                     else:
-                        self._merge_chunk(
-                            chunk, payloads, queue, isolation, results
-                        )
+                        self._merge(chunk, payloads)
                 if crashed:
-                    pool = self._recover_broken_pool(
-                        pool, crashed, in_flight, queue, isolation, results
-                    )
+                    self._crash(crashed)
                     continue
-                # Watchdog: hard-kill workers whose chunk overran its
-                # deadline; resubmit innocent in-flight files unharmed.
-                now = time.monotonic()
-                expired = [
-                    (future, chunk)
-                    for future, (chunk, deadline) in in_flight.items()
-                    if deadline is not None and now > deadline
-                ]
-                if expired:
-                    hung = {future for future, _ in expired}
-                    innocents = [
-                        item
-                        for future, (chunk, _deadline) in in_flight.items()
-                        if future not in hung
-                        for item in chunk
-                    ]
-                    in_flight.clear()
-                    self.pool_restarts += 1
-                    self._kill_pool(pool)
-                    pool = self._new_pool()
-                    for _future, chunk in expired:
-                        if len(chunk) == 1:
-                            self._dispatch_failure(
-                                chunk[0],
-                                "hang",
-                                f"no result within "
-                                f"{self.options.timeout_seconds:g}s; "
-                                "worker killed and recycled",
-                                queue,
-                                isolation,
-                                results,
-                            )
-                        else:
-                            # Any file in the chunk may be the staller:
-                            # charge nobody, rerun them one per chunk so
-                            # the next overrun names its file.
-                            for item in chunk:
-                                item.solo = True
-                                queue.appendleft(item)
-                    for item in innocents:
-                        queue.appendleft(item)
+                self._watchdog()
             # Trailing check: on a fast corpus the final wait round can
             # drain queue and in-flight together, ending the loop before
             # its top-of-iteration check sees a signal (or the
             # interrupt-after-N fault threshold) raised mid-round.
             self._check_interrupt()
-        except SweepInterrupted:
-            self._kill_pool(pool)
-            pool = None
+        except BaseException:
+            self._kill_pool(self._pool)
             raise
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True, cancel_futures=True)
-        return results
+        self._pool.shutdown(wait=True, cancel_futures=True)
+
+    def _watchdog(self) -> None:
+        """Recycle the pool when a chunk overran its deadline.
+
+        The overrun chunk fails as a whole; chunks in flight beside it
+        are resubmitted unharmed.
+        """
+        now = time.monotonic()
+        expired = [
+            future
+            for future, (_chunk, deadline) in self._in_flight.items()
+            if deadline is not None and now > deadline
+        ]
+        if not expired:
+            return
+        overrun = [self._in_flight.pop(future)[0] for future in expired]
+        self._queue.extendleft(self._recycle_pool())
+        for chunk in overrun:
+            self._fail(
+                chunk,
+                "hang",
+                f"no result within {self.options.timeout_seconds:g}s; "
+                "worker killed and recycled",
+            )

@@ -102,13 +102,12 @@ class TestPoolExtensions:
         assert REGISTRY.get("R15_RANGE_LEN").overhead_percent > 0
 
     def test_cost_table_marks_extensions(self):
-        from repro.rapl.model import OperationCostTable
+        from repro.rules import REGISTRY
 
-        table = OperationCostTable()
-        assert table.is_extension("R14_APPEND_LOOP")
-        assert not table.is_extension("R05_MODULUS")
-        assert len(table.rule_ids()) == 13
-        assert set(table.extension_ids()) == {
+        assert REGISTRY.get("R14_APPEND_LOOP").extension
+        assert not REGISTRY.get("R05_MODULUS").extension
+        assert len(REGISTRY.table1_specs()) == 13
+        assert {s.rule_id for s in REGISTRY.extension_specs()} == {
             "R14_APPEND_LOOP", "R15_RANGE_LEN", "R16_DEAD_STORE",
             "R17_INVARIANT_RECOMPUTE", "R18_PURE_MEMOIZE",
         }

@@ -246,6 +246,30 @@ class TestR07ShortCircuit:
         src = "def f(x, a, b):\n    return g(x) and a and b\n"
         assert len(findings_for(src, "R07_SHORT_CIRCUIT")) == 1
 
+    @pytest.mark.parametrize(
+        "chain",
+        [
+            "isinstance(node, T) and node.attr == v",
+            "isinstance(node, T) and isinstance(node.target, U) "
+            "and node.target.id == v",
+            "issubclass(cls, T) and cls.kind",
+            "hasattr(obj, 'items') and obj.items[0] == v",
+            "isinstance(rows[0], T) and rows[0][1] == v",
+        ],
+    )
+    def test_type_guard_chain_not_flagged(self, chain):
+        # The later read depends on the guard: it cannot move first.
+        src = f"def f(node, cls, obj, rows, T, U, v):\n    return {chain}\n"
+        assert "R07_SHORT_CIRCUIT" not in rule_ids(src)
+
+    def test_guard_of_an_unread_name_still_flagged(self):
+        src = "def f(x, y, T, flag):\n    return isinstance(x, T) and flag\n"
+        assert "R07_SHORT_CIRCUIT" in rule_ids(src)
+
+    def test_call_before_flag_still_flagged_beside_guards(self):
+        src = "def f(x, flag):\n    return f(x) and flag\n"
+        assert "R07_SHORT_CIRCUIT" in rule_ids(src)
+
 
 class TestR08StrConcat:
     def test_augassign_concat_flagged(self):

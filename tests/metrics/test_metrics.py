@@ -112,6 +112,21 @@ class TestDependencyGraph:
         # `from . import y` resolves to the submodule rel.y directly.
         assert "rel.y" in graph.closure("rel.x")
 
+    def test_vendored_environment_is_not_a_module(self, tmp_path):
+        # A project's .venv/ holds site-packages, not the project: it
+        # must not add modules to Table II's dependency metrics.
+        root = make_project(tmp_path)
+        (root / ".venv" / "lib").mkdir(parents=True)
+        (root / ".venv" / "lib" / "x.py").write_text("import numpy\n")
+        (root / "__pycache__").mkdir()
+        (root / "__pycache__" / "stale.py").write_text("X = 1\n")
+        graph = build_dependency_graph(root, "pkg")
+        assert not any(".venv" in name for name in graph.modules)
+        assert not any("__pycache__" in name for name in graph.modules)
+        assert graph.modules == build_dependency_graph(
+            make_project(tmp_path / "clean"), "pkg"
+        ).modules
+
     def test_nondirectory_rejected(self, tmp_path):
         path = tmp_path / "file.py"
         path.write_text("")

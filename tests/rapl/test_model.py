@@ -1,16 +1,12 @@
-"""Tests for the analytic energy model and the operation cost table."""
+"""Tests for the analytic energy model and the per-rule operation costs."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.rapl.domains import Domain
-from repro.rapl.model import (
-    DomainPower,
-    EnergyModel,
-    OperationCost,
-    OperationCostTable,
-)
+from repro.rapl.model import DomainPower, EnergyModel
+from repro.rules import REGISTRY
 
 
 class TestEnergyModel:
@@ -70,37 +66,32 @@ class TestEnergyModel:
 
 
 class TestOperationCostTable:
+    """The per-rule operation costs, as the rule catalog carries them."""
+
     def test_paper_exact_percentages(self):
         """The five ratios Table I states numerically, verbatim."""
-        table = OperationCostTable()
-        assert table.cost("R04_GLOBAL_IN_LOOP").overhead_percent == 17700.0
-        assert table.cost("R05_MODULUS").overhead_percent == 1620.0
-        assert table.cost("R06_TERNARY").overhead_percent == 37.0
-        assert table.cost("R09_STR_COMPARE").overhead_percent == 33.0
-        assert table.cost("R11_TRAVERSAL").overhead_percent == 793.0
+        assert REGISTRY.get("R04_GLOBAL_IN_LOOP").overhead_percent == 17700.0
+        assert REGISTRY.get("R05_MODULUS").overhead_percent == 1620.0
+        assert REGISTRY.get("R06_TERNARY").overhead_percent == 37.0
+        assert REGISTRY.get("R09_STR_COMPARE").overhead_percent == 33.0
+        assert REGISTRY.get("R11_TRAVERSAL").overhead_percent == 793.0
 
     def test_paper_exact_rows_not_marked_estimated(self):
-        table = OperationCostTable()
         for rule_id in ("R04_GLOBAL_IN_LOOP", "R05_MODULUS", "R06_TERNARY",
                         "R09_STR_COMPARE", "R11_TRAVERSAL"):
-            assert not table.is_estimated(rule_id)
+            assert not REGISTRY.get(rule_id).overhead_is_estimate
 
     def test_qualitative_rows_marked_estimated(self):
-        table = OperationCostTable()
-        assert table.is_estimated("R08_STR_CONCAT")
-        assert table.is_estimated("R10_ARRAY_COPY")
-
-    def test_factor_conversion(self):
-        cost = OperationCost("x", "y", 37.0)
-        assert cost.factor == pytest.approx(1.37)
+        assert REGISTRY.get("R08_STR_CONCAT").overhead_is_estimate
+        assert REGISTRY.get("R10_ARRAY_COPY").overhead_is_estimate
 
     def test_all_thirteen_rules_present(self):
-        table = OperationCostTable()
-        assert len(table.rule_ids()) == 13
-        for rule_id in table.rule_ids():
-            assert rule_id in table
-            assert table.cost(rule_id).factor > 1.0
+        specs = REGISTRY.table1_specs()
+        assert len(specs) == 13
+        for spec in specs:
+            assert spec.rule_id in REGISTRY
+            assert spec.overhead_percent > 0.0
 
     def test_unknown_rule_raises(self):
         with pytest.raises(KeyError):
-            OperationCostTable().cost("R99_NOPE")
+            REGISTRY.get("R99_NOPE")

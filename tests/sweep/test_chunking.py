@@ -126,6 +126,40 @@ class TestPoisonInsideChunk:
         ) == _as_bytes(healthy)
 
 
+    def test_hang_isolates_file_not_chunk(self, project):
+        # An overrun of a multi-file chunk names no file: the watchdog
+        # charges nobody, each chunk-mate reruns alone, and only the
+        # staller's own overruns count as strikes.  The parallel stall
+        # outlasts the chunk's whole deadline; the serial one (detected
+        # after the fact) needs only to outlast one file's budget.
+        assert _chunk_size(24, jobs=2) == 3
+        options = dict(timeout_seconds=0.5, max_retries=1)
+        analyzer = Analyzer()
+        parallel = analyzer.analyze_project(
+            project,
+            jobs=2,
+            options=SweepOptions(
+                faults=SweepFaultPlan(hang=("mod_04.py",), hang_seconds=8.0),
+                **options,
+            ),
+        )
+        quarantine = analyzer.last_quarantine
+        assert [(e.path, e.reason, e.failures) for e in quarantine.entries] == [
+            (str(project / "mod_04.py"), "hang", 2)
+        ]
+        stats = analyzer.last_sweep_stats
+        assert (stats.retries, stats.timeouts, stats.quarantined) == (1, 2, 1)
+        serial = Analyzer().analyze_project(
+            project,
+            jobs=1,
+            options=SweepOptions(
+                faults=SweepFaultPlan(hang=("mod_04.py",), hang_seconds=0.6),
+                **options,
+            ),
+        )
+        assert _as_bytes(parallel) == _as_bytes(serial)
+
+
 class TestResumeAcrossChunkBoundary:
     def test_resume_mid_chunk_is_byte_identical(self, project):
         # Interrupt after 4 files with chunks of 3: the journal cuts
